@@ -178,14 +178,6 @@ class BPoly:
         vx, vy = rat(vx), rat(vy)
         return sum((a * vx**i * vy**j for (i, j), a in self.m.items()), Fraction(0))
 
-    def eval_generic(self, vx, vy):
-        """Substitute arbitrary ring elements for both variables."""
-        acc = None
-        for (i, j), a in sorted(self.m.items()):
-            term = _gpow(vx, i) * _gpow(vy, j) * a
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else Fraction(0)
-
     def deriv_x(self) -> "BPoly":
         out = BPoly()
         out.m = {(i - 1, j): v * i for (i, j), v in self.m.items() if i > 0}
@@ -271,10 +263,3 @@ def _coerce(v) -> BPoly:
     if isinstance(v, UPoly):
         return BPoly.from_upoly(v)
     raise TypeError(f"cannot coerce {v!r} to BPoly")
-
-
-def _gpow(v, n):
-    r = 1
-    for _ in range(n):
-        r = r * v if r != 1 else v
-    return r if n else Fraction(1)

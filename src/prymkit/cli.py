@@ -86,7 +86,7 @@ def cmd_pencil(args, out) -> int:
     cfg = _config(args)
     if not cfg.ts:
         raise ValueError("pencil classify needs at least one --t value")
-    pp = p3.PencilParams.from_cover(cfg.cover(), cfg.variant)
+    pp = cfg.pencil
     for t in cfg.ts:
         mc = p3.classify_member(pp, t)
         record = {"t": rat_str(rat(t)), "class": mc.kind, "witness": mc.witness}
@@ -135,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run verification suites")
     _add_moduli_args(v)
     v.add_argument("--suite", action="append", choices=["all"] + SUITE_ORDER)
-    v.add_argument("--t", action="append")
     v.add_argument("--out", help="write certificates (JSON lines) to this path")
     v.add_argument("--recheck", help="re-validate a certificate file from witness data")
 

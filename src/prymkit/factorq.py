@@ -38,23 +38,8 @@ def _gp_mul(a, b, p):
     return _gp_trim(out)
 
 
-def _gp_rem(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db:
-        if a[-1]:
-            f = a[-1] * inv % p
-            k = len(a) - 1 - db
-            for i, y in enumerate(b):
-                a[k + i] = (a[k + i] - f * y) % p
-        a.pop()
-        _gp_trim(a)
-        if not a:
-            break
-    return _gp_trim(a)
-
-def _gp_quo(a, b, p):
+def _gp_divmod(a, b, p):
+    """Quotient and remainder of a by b over GF(p)."""
     a = list(a)
     db = len(b) - 1
     inv = pow(b[-1], p - 2, p)
@@ -70,13 +55,13 @@ def _gp_quo(a, b, p):
         _gp_trim(a)
         if not a:
             break
-    return _gp_trim(q)
+    return _gp_trim(q), _gp_trim(a)
 
 
 def _gp_gcd(a, b, p):
     a, b = list(a), list(b)
     while b:
-        a, b = b, _gp_rem(a, b, p)
+        a, b = b, _gp_divmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], p - 2, p)
         a = [x * inv % p for x in a]
@@ -95,11 +80,11 @@ def _gp_monic(a, p):
 def _gp_pow_x(e, mod, p):
     """x^e modulo mod over GF(p)."""
     result = [1]
-    base = _gp_rem([0, 1], mod, p)
+    base = _gp_divmod([0, 1], mod, p)[1]
     while e:
         if e & 1:
-            result = _gp_rem(_gp_mul(result, base, p), mod, p)
-        base = _gp_rem(_gp_mul(base, base, p), mod, p)
+            result = _gp_divmod(_gp_mul(result, base, p), mod, p)[1]
+        base = _gp_divmod(_gp_mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
@@ -115,7 +100,7 @@ def _berlekamp(f, p):
     cur = [1]
     for _ in range(n):
         rows.append(cur + [0] * (n - len(cur)))
-        cur = _gp_rem(_gp_mul(cur, xp, p), f, p)
+        cur = _gp_divmod(_gp_mul(cur, xp, p), f, p)[1]
     # nullspace of (Q - I)^T x = 0, i.e. left kernel of (Q - I)
     m = [[(rows[i][j] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
     basis = _left_nullspace(m, p)
@@ -138,7 +123,7 @@ def _berlekamp(f, p):
                 g = _gp_gcd(rem_f, _gp_sub(vpoly, [s], p), p)
                 if 0 < len(g) - 1 < len(rem_f) - 1:
                     pieces.append(g)
-                    rem_f = _gp_quo(rem_f, g, p)
+                    rem_f, _ = _gp_divmod(rem_f, g, p)
                 if len(rem_f) - 1 == 0:
                     break
             if len(rem_f) - 1 > 0:
@@ -230,25 +215,9 @@ def _sym(a, m):
     return _z_trim(out)
 
 
-def _zm_rem(a, b, m):
-    """Remainder of a by b modulo m; b must have an invertible lead mod m."""
-    a = [x % m for x in a]
-    _z_trim(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, m)
-    while len(a) - 1 >= db:
-        if a[-1] % m:
-            f = a[-1] * inv % m
-            k = len(a) - 1 - db
-            for i, y in enumerate(b):
-                a[k + i] = (a[k + i] - f * y) % m
-        a.pop()
-        while a and a[-1] % m == 0:
-            a.pop()
-    return [x % m for x in a]
-
-
-def _zm_quo(a, b, m):
+def _zm_divmod(a, b, m):
+    """Quotient and remainder of a by b modulo m; b must have an invertible
+    lead mod m."""
     a = [x % m for x in a]
     _z_trim(a)
     db = len(b) - 1
@@ -264,7 +233,7 @@ def _zm_quo(a, b, m):
         a.pop()
         while a and a[-1] % m == 0:
             a.pop()
-    return _z_trim(q)
+    return _z_trim(q), a
 
 
 def _hensel_step(m, f, g, h, s, t):
@@ -272,13 +241,11 @@ def _hensel_step(m, f, g, h, s, t):
     to the same congruences mod m^2 (coefficients in symmetric range)."""
     M = m * m
     e = _sym(_z_sub(f, _z_mul(g, h)), M)
-    q = _zm_quo(_z_mul(s, e), h, M)
-    r = _zm_rem(_z_mul(s, e), h, M)
+    q, r = _zm_divmod(_z_mul(s, e), h, M)
     g1 = _sym(_z_add(_z_add(g, _z_mul(t, e)), _z_mul(q, g)), M)
     h1 = _sym(_z_add(h, r), M)
     b = _sym(_z_sub(_z_add(_z_mul(s, g1), _z_mul(t, h1)), [1]), M)
-    c = _zm_quo(_z_mul(s, b), h1, M)
-    d = _zm_rem(_z_mul(s, b), h1, M)
+    c, d = _zm_divmod(_z_mul(s, b), h1, M)
     s1 = _sym(_z_sub(s, d), M)
     t1 = _sym(_z_sub(_z_sub(t, _z_mul(t, b)), _z_mul(c, g1)), M)
     return g1, h1, s1, t1
@@ -290,7 +257,7 @@ def _gp_egcd(a, b, p):
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q = _gp_quo(r0, r1, p)
+        q, _ = _gp_divmod(r0, r1, p)
         r0, r1 = r1, _gp_sub(r0, _gp_mul(q, r1, p), p)
         s0, s1 = s1, _gp_sub(s0, _gp_mul(q, s1, p), p)
         t0, t1 = t1, _gp_sub(t0, _gp_mul(q, t1, p), p)
@@ -439,9 +406,6 @@ def _z_try_div(a, b):
     if any(a):
         return False, None
     return True, _z_trim(q)
-
-
-_PRIME_CACHE = [2, 3, 5, 7, 11, 13]
 
 
 def _next_prime(p):

@@ -472,10 +472,13 @@ def _poly_gcd_mod(a, b, place):
 
 
 def _passes_node(sec: Section, w: WeierstrassFamily, place: UPoly) -> bool:
-    if sec.is_zero_section:
-        return False
-    xn = _node_x(w, place)
-    if xn is None:
+    return _meets_node(sec, place, _node_x(w, place))
+
+
+def _meets_node(sec: Section, place: UPoly, xn: UPoly | None) -> bool:
+    """Whether the section passes through the node at x = xn of the fiber
+    over the place (xn None: no rational node there)."""
+    if sec.is_zero_section or xn is None:
         return False
     try:
         xres = sec.x.residue(place)
@@ -539,42 +542,60 @@ def _pole_places(sec: Section, w: WeierstrassFamily):
     return out
 
 
-def height_pairing(w: WeierstrassFamily, s1: Section, s2: Section) -> Fraction:
-    """Mordell-Weil height pairing for families whose bad fibers are all
-    multiplicative of type I1 or I2."""
-    reports = classify_fibers(w)
-    for r in reports:
-        if r.kodaira not in ("I1", "I2"):
-            raise ValueError(f"unsupported fiber type {r.kodaira} for heights")
-    chi = 2
-    sigma_s1 = _sigma_int(s1, w)
-    sigma_s2 = _sigma_int(s2, w)
-    if s1 == s2:
-        inter = Fraction(-2)  # self-intersection of any section on a K3
-    elif s1.is_zero_section or s2.is_zero_section:
-        other = s2 if s1.is_zero_section else s1
-        inter = Fraction(_sigma_int(other, w))
-    else:
-        total, per = _contact(s1, s2, w)
-        inter = Fraction(total)
+class HeightPairing:
+    """Mordell-Weil height pairing on one family whose bad fibers are all
+    multiplicative of type I1 or I2.  The fiber data that every pair shares
+    is computed once: the fiber reports and the node x-coordinate at each
+    finite I2 place.  Per section, its intersection with the zero section
+    and the I2 nodes it passes through are computed on first use."""
+
+    def __init__(self, w: WeierstrassFamily):
+        reports = classify_fibers(w)
         for r in reports:
-            if r.kodaira != "I2" or r.place is INF_PLACE:
-                continue
-            if _passes_node(s1, w, r.place) and _passes_node(s2, w, r.place):
-                m = per.get(r.place, 0)
+            if r.kodaira not in ("I1", "I2"):
+                raise ValueError(f"unsupported fiber type {r.kodaira} for heights")
+        self.w = w
+        self.nodes = {
+            r.place: _node_x(w, r.place)
+            for r in reports
+            if r.kodaira == "I2" and r.place is not INF_PLACE
+        }
+        self._sections = {}
+
+    def _section(self, sec: Section):
+        if sec not in self._sections:
+            met = [pl for pl, xn in self.nodes.items() if _meets_node(sec, pl, xn)]
+            self._sections[sec] = (_sigma_int(sec, self.w), met)
+        return self._sections[sec]
+
+    def __call__(self, s1: Section, s2: Section) -> Fraction:
+        chi = 2
+        sigma_s1, met1 = self._section(s1)
+        sigma_s2, met2 = self._section(s2)
+        both = [pl for pl in met1 if pl in met2]
+        if s1 == s2:
+            inter = Fraction(-2)  # self-intersection of any section on a K3
+        elif s1.is_zero_section or s2.is_zero_section:
+            inter = Fraction(sigma_s2 if s1.is_zero_section else sigma_s1)
+        else:
+            total, per = _contact(s1, s2, self.w)
+            inter = Fraction(total)
+            for place in both:
+                m = per.get(place, 0)
                 if m:
                     if m != 1:
                         raise ValueError("deep tangency at a node is unsupported")
-                    inter -= r.place.degree
-    corr = Fraction(0)
-    for r in reports:
-        if r.kodaira != "I2" or r.place is INF_PLACE:
-            continue
-        p1 = s1.is_zero_section is False and _passes_node(s1, w, r.place)
-        p2 = s2.is_zero_section is False and _passes_node(s2, w, r.place)
-        if p1 and p2:
-            corr += Fraction(1, 2) * r.place.degree
-    return chi + sigma_s1 + sigma_s2 - inter - corr
+                    inter -= place.degree
+        corr = Fraction(0)
+        for place in both:
+            corr += Fraction(1, 2) * place.degree
+        return chi + sigma_s1 + sigma_s2 - inter - corr
+
+
+def height_pairing(w: WeierstrassFamily, s1: Section, s2: Section) -> Fraction:
+    """Mordell-Weil height pairing for families whose bad fibers are all
+    multiplicative of type I1 or I2."""
+    return HeightPairing(w)(s1, s2)
 
 
 def _sigma_int(sec: Section, w: WeierstrassFamily) -> int:

@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rat import Rat, rat
+from .rat import Rat, rat, sqrt_exact
 from .upoly import UPoly, bracket, discriminant
 from .invariants import IgusaClebsch, igusa_clebsch as _ic_sextic
 
@@ -266,6 +266,20 @@ class NormalFormCoeffs:
 
     def disc(self) -> Rat:
         return self.c1 * self.c1 - 4 * self.c0 * self.c2
+
+
+def moduli_ef(coeffs: NormalFormCoeffs):
+    """The rational roots e, f of c2 X^2 - c1 X + c0 (so e f = c0/c2 and
+    e + f = c1/c2); the moduli must make the discriminant a square."""
+    if coeffs.c2 == 0:
+        raise ValueError("degenerate moduli: c2 = 0")
+    disc = sqrt_exact(coeffs.disc())
+    if disc is None:
+        raise ValueError("choose moduli with split e, f: c1^2 - 4 c0 c2 "
+                         "must be a rational square")
+    e = (coeffs.c1 + disc) / (2 * coeffs.c2)
+    f = (coeffs.c1 - disc) / (2 * coeffs.c2)
+    return e, f
 
 
 def normal_form_coeffs(cp: CoverPoint, variant: str = "k15") -> NormalFormCoeffs:

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rat import Rat, rat, rat_str, sqrt_exact
-from .upoly import UPoly, bracket, gcd, resultant_upoly_coeffs
+from .upoly import UPoly, bracket, convolve, gcd, resultant_upoly_coeffs
 from .bpoly import BPoly
 from .factorq import rational_roots
 from .hermite import j_from_cubic
-from .genus2 import CoverPoint, Genus2Curve, NormalFormCoeffs
+from .genus2 import CoverPoint, Genus2Curve, NormalFormCoeffs, moduli_ef
 from .pencil3 import PencilParams, bitangent_conics, data_polys, scaled_even_subs
 from .quadforms import QuadForm3, TriPoly, det_pencil3, det_pencil5
 
@@ -66,16 +66,6 @@ class QuadricTriple:
 def build_quadrics(pp: PencilParams, x0) -> QuadricTriple:
     q0, q1, q2 = bitangent_conics(pp, x0)
     return QuadricTriple(q0, q1, q2, pp, rat(x0))
-
-
-def moduli_ef(coeffs: NormalFormCoeffs):
-    disc = sqrt_exact(coeffs.disc())
-    if disc is None:
-        raise ValueError("choose moduli with split e, f: the coefficient "
-                         "discriminant must be a rational square")
-    e = (coeffs.c1 + disc) / (2 * coeffs.c2)
-    f = (coeffs.c1 - disc) / (2 * coeffs.c2)
-    return e, f
 
 
 def build_quadrics_moduli(cp: CoverPoint, coeffs: NormalFormCoeffs, t):
@@ -286,17 +276,9 @@ def w14_component(pp: PencilParams, x0) -> Genus2Curve:
     """The genus-2 member of the second component at a smooth member."""
     x0 = rat(x0)
     p1, p2, p3 = w14_factors(pp)
-    sxt = _mul_lists([c(x0) for c in p1], [c(x0) for c in p2])
-    sxt = _mul_lists(sxt, [c(x0) for c in p3])
+    sxt = convolve([c(x0) for c in p1], [c(x0) for c in p2])
+    sxt = convolve(sxt, [c(x0) for c in p3])
     return Genus2Curve(UPoly(sxt))
-
-
-def _mul_lists(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def w14_resultants(pp: PencilParams):

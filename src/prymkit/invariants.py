@@ -18,11 +18,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .rat import Rat, rat, rat_str
-from .upoly import UPoly, resultant, resultant_upoly_coeffs
-
-
-def _is_zero(v) -> bool:
-    return v == 0
+from .upoly import UPoly, convolve, resultant, resultant_upoly_coeffs
 
 
 def _deriv_x(form, order):
@@ -32,17 +28,6 @@ def _deriv_x(form, order):
 
 def _deriv_y(form, order):
     return [form[i] * (order - i) for i in range(order)]
-
-
-def _form_mul(f, g):
-    if not f or not g:
-        return []
-    out = [None] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            t = a * b
-            out[i + j] = t if out[i + j] is None else out[i + j] + t
-    return out
 
 
 def transvectant(f, g, m: int, n: int, r: int):
@@ -68,7 +53,7 @@ def transvectant(f, g, m: int, n: int, r: int):
         for _ in range(r - k):
             dg = _deriv_y(dg, on)
             on -= 1
-        term = _form_mul(df, dg)
+        term = convolve(df, dg)
         sgn = (-1) ** k * comb(r, k)
         term = [t * sgn for t in term]
         if total is None:
@@ -184,25 +169,25 @@ def wp_scale_equal(a: IgusaClebsch, b: IgusaClebsch, r) -> bool:
 
 def wp_equal(a: IgusaClebsch, b: IgusaClebsch) -> bool:
     """Equality in P(2,4,6,10): existence of a scale r (over the algebraic
-    closure) with I_k(a) = r^k I_k(b).  All weights are even, so only r^2
-    enters, and zero invariants are compared level by level."""
-    if (a.i2 == 0) != (b.i2 == 0):
-        return False
-    if a.i2 != 0:
-        rho = a.i2 / b.i2  # r^2
-        return (
-            a.i4 == rho**2 * b.i4
-            and a.i6 == rho**3 * b.i6
-            and a.i10 == rho**5 * b.i10
-        )
-    if (a.i4 == 0) != (b.i4 == 0):
-        return False
-    if a.i4 != 0:
-        sig = a.i4 / b.i4  # r^4
-        return a.i6**2 == sig**3 * b.i6**2 and a.i10**2 == sig**5 * b.i10**2
-    if (a.i6 == 0) != (b.i6 == 0):
-        return False
-    if a.i6 != 0:
-        tau = a.i6 / b.i6  # r^6
-        return a.i10**3 == tau**5 * b.i10**3
-    return (a.i10 == 0) == (b.i10 == 0)
+    closure) with I_k(a) = r^k I_k(b).  All weights are even, so only
+    rho = r^2 enters, with weights w = 1, 2, 3, 5.  Over the nonzero
+    invariants with ratios q_w = rho^w, rho^g for g = gcd(w) is a product of
+    the q_w raised to Bezout exponents; a scale exists iff each q_w is the
+    power (rho^g)^(w/g) of it."""
+    nonzero = []
+    for x, y, w in zip(a.as_tuple(), b.as_tuple(), (1, 2, 3, 5)):
+        if (x == 0) != (y == 0):
+            return False
+        if x != 0:
+            nonzero.append((x, y, w))
+    g, rho_g = 0, Fraction(1)
+    for x, y, w in nonzero:
+        if g == 1:
+            break  # rho itself is known
+        # extended Euclid on (g, w): u g + v w = gcd, so rho^gcd = rho_g^u q^v
+        r0, r1, u0, u1, v0, v1 = g, w, 1, 0, 0, 1
+        while r1:
+            k = r0 // r1
+            r0, r1, u0, u1, v0, v1 = r1, r0 - k * r1, u1, u0 - k * u1, v1, v0 - k * v1
+        g, rho_g = r0, rho_g**u0 * (rat(x) / rat(y)) ** v0
+    return all(x == rho_g ** (w // g) * y for x, y, w in nonzero)

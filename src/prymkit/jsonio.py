@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .rat import rat, rat_str
+from .rat import rat_str
 from .upoly import UPoly
 
 
@@ -31,9 +31,3 @@ def canonical(obj):
 
 def dumps(obj) -> str:
     return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
-
-
-def parse_rat_list(text: str):
-    """Parse a JSON array of rational strings into Fractions."""
-    arr = json.loads(text)
-    return [rat(str(v)) for v in arr]

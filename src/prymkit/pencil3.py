@@ -17,7 +17,7 @@ from .bpoly import BPoly
 from .factorq import squarefree_places, rational_roots
 from .hermite import QuarticGenus1, EllipticW, hermite_polys, jacobian_of_quartic
 from .fibration import IsogenyParams, mu_nu_kappa, delta_z
-from .genus2 import CoverPoint, Genus2Curve, NormalFormCoeffs, normal_form_coeffs
+from .genus2 import CoverPoint, Genus2Curve, NormalFormCoeffs, moduli_ef, normal_form_coeffs
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,7 @@ class PencilParams:
     def from_cover(cls, cp: CoverPoint, variant: str = "k15") -> "PencilParams":
         """Reference pencil of a cover point: the quartic with roots at the
         four square roots (+-k15, +-k23) and the matched (gamma, delta)."""
-        nf = normal_form_coeffs(cp, variant)
-        if nf.c2 == 0:
-            raise ValueError("degenerate moduli: c2 = 0")
-        disc = sqrt_exact(nf.disc())
-        if disc is None:
-            raise ValueError("choose moduli with split e, f: c1^2 - 4 c0 c2 "
-                             "must be a rational square")
-        e = (nf.c1 + disc) / (2 * nf.c2)
-        f = (nf.c1 - disc) / (2 * nf.c2)
+        e, f = moduli_ef(normal_form_coeffs(cp, variant))
         gamma, delta = -e / 3, -f / 3
         l1 = cp.base.l1
         l23 = cp.base.l2 * cp.base.l3
@@ -83,10 +75,6 @@ class PencilParams:
     def octic(self) -> UPoly:
         p, q = self.p, self.q
         return p * p * self.ip.kappa + p * q * (2 * self.ip.mu) + q * q * self.ip.nu
-
-
-def b_polynomial(pp: PencilParams) -> BPoly:
-    return pp.b
 
 
 @dataclass(frozen=True)
@@ -204,11 +192,7 @@ def member_frames_agree(cp: CoverPoint, coeffs: NormalFormCoeffs, t) -> bool:
     ell = cp.ell
     lam1 = (cp.base.l1 + cp.base.l2 * cp.base.l3) / ell
     base_quartic = QuarticGenus1(UPoly((1, 0, -lam1, 0, 1)))
-    disc = sqrt_exact(coeffs.disc())
-    if disc is None:
-        raise ValueError("moduli do not split e, f")
-    e = (coeffs.c1 + disc) / (2 * coeffs.c2)
-    f = (coeffs.c1 - disc) / (2 * coeffs.c2)
+    e, f = moduli_ef(coeffs)
     base = PencilParams.create(base_quartic, -e / (3 * ell), -f / (3 * ell))
     scale = 9 * coeffs.c2 * ell
     p_sub = scaled_even_subs(base.p, ell)

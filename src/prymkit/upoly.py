@@ -76,9 +76,6 @@ class UPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.c[-1]
 
-    def is_constant(self) -> bool:
-        return len(self.c) <= 1
-
     # -- ring operations -----------------------------------------------
     def __add__(self, other) -> "UPoly":
         other = _coerce(other)
@@ -396,10 +393,6 @@ def bracket(p: UPoly, q: UPoly) -> UPoly:
 # -- arithmetic modulo an irreducible place --------------------------------
 
 
-def rem_mod(p: UPoly, m: UPoly) -> UPoly:
-    return p % m
-
-
 def inv_mod(p: UPoly, m: UPoly) -> UPoly:
     """Inverse of p in Q[x]/(m); m need not be monic but must be coprime to p."""
     r0, r1 = m, p % m
@@ -444,6 +437,19 @@ def interpolate(points) -> UPoly:
         poly = poly + basis * coeffs[i]
         basis = basis * UPoly((-xs[i], 1))
     return poly
+
+
+def convolve(a, b):
+    """Product of two polynomials given as ascending coefficient lists over
+    any ring (rationals, UPoly, ...)."""
+    if not a or not b:
+        return []
+    out = [None] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            t = x * y
+            out[i + j] = t if out[i + j] is None else out[i + j] + t
+    return out
 
 
 def resultant_upoly_coeffs(f_coeffs, g_coeffs) -> UPoly:

@@ -11,9 +11,10 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .rat import Rat, rat, rat_str, sqrt_exact
-from .upoly import UPoly, bracket, discriminant, resultant, valuation
+from .upoly import UPoly, bracket, convolve, discriminant, gcd, resultant, valuation
 from .factorq import squarefree_places
 from .invariants import IgusaClebsch, igusa_clebsch_upoly, wp_equal, wp_scale_equal
 from . import genus2 as g2
@@ -24,8 +25,11 @@ from . import genus5 as g5
 from .jsonio import canonical
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """One configuration of the suites.  The data that several suites share
+    is built on first use and then kept on the configuration."""
+
     lambdas: tuple
     k15: Rat
     k23: Rat
@@ -33,9 +37,44 @@ class RunConfig:
     ts: tuple = ()
     suites: tuple = ("all",)
 
+    @cached_property
     def cover(self) -> g2.CoverPoint:
         rp = g2.RosenhainPoint(*[rat(v) for v in self.lambdas])
         return g2.CoverPoint(rp, rat(self.k15), rat(self.k23))
+
+    @cached_property
+    def pencil(self) -> p3.PencilParams:
+        return p3.PencilParams.from_cover(self.cover, self.variant)
+
+    @cached_property
+    def coeffs(self) -> g2.NormalFormCoeffs:
+        return g2.normal_form_coeffs(self.cover, self.variant)
+
+    @cached_property
+    def richelot(self) -> g2.Genus2Curve:
+        """The Richelot image of the Rosenhain curve under the Goepel group
+        {0, (15), (23), (46)}."""
+        group = frozenset(
+            {
+                g2.TwoTorsionPoint.identity(),
+                g2.TwoTorsionPoint.of(1, 5),
+                g2.TwoTorsionPoint.of(2, 3),
+                g2.TwoTorsionPoint.of(4, 6),
+            }
+        )
+        return g2.richelot_from_goepel(self.cover.base, group)
+
+    @cached_property
+    def families(self) -> dict:
+        """The five Weierstrass families, keyed by their names."""
+        cp, pp = self.cover, self.pencil
+        return {
+            "shioda": fb.build_shioda(cp),
+            "kummer12": fb.build_kummer12(cp),
+            "dual_kummer": fb.build_dual_kummer(cp),
+            "pencil_jac": fb.build_pencil_jac(pp.quartic, pp.ip),
+            "pencil_dual": fb.build_pencil_dual(pp.quartic, pp.ip),
+        }
 
     def to_json(self):
         return {
@@ -56,12 +95,12 @@ class Certificate:
     wall_time: float
 
     def to_json(self):
+        """The certificate without its wall time, so two runs give the same bytes."""
         return {
             "suite": self.suite,
             "status": self.status,
             "checks": self.checks,
             "input": self.input_echo,
-            "wall_time": round(self.wall_time, 6),
         }
 
 
@@ -110,18 +149,9 @@ class _Suite:
 
 def suite_richelot(cfg: RunConfig) -> Certificate:
     s = _Suite("richelot", cfg)
-    cp0 = cfg.cover()
+    cp0 = cfg.cover
     rp = cp0.base
-    group = frozenset(
-        {
-            g2.TwoTorsionPoint.identity(),
-            g2.TwoTorsionPoint.of(1, 5),
-            g2.TwoTorsionPoint.of(2, 3),
-            g2.TwoTorsionPoint.of(4, 6),
-        }
-    )
-    rich = g2.richelot_from_goepel(rp, group)
-    ic_rich = g2.igusa_clebsch(rich)
+    ic_rich = g2.igusa_clebsch(cfg.richelot)
     for variant in ("k15", "k23"):
         for sheet in (1, -1):
             cp = g2.CoverPoint(rp, cp0.k15 * (sheet if variant == "k15" else 1),
@@ -156,22 +186,13 @@ EXPECTED_INVENTORIES = {
 
 
 def families(cfg: RunConfig):
-    cp = cfg.cover()
-    pp = p3.PencilParams.from_cover(cp, cfg.variant)
-    return {
-        "shioda": fb.build_shioda(cp),
-        "kummer12": fb.build_kummer12(cp),
-        "dual_kummer": fb.build_dual_kummer(cp),
-        "pencil_jac": fb.build_pencil_jac(pp.quartic, pp.ip),
-        "pencil_dual": fb.build_pencil_dual(pp.quartic, pp.ip),
-    }
+    """The five families of the configuration, in a dict of the caller's own."""
+    return dict(cfg.families)
 
 
 def suite_fibers(cfg: RunConfig) -> Certificate:
     s = _Suite("fibers", cfg)
-    cp = cfg.cover()
-    pp = p3.PencilParams.from_cover(cp, cfg.variant)
-    fams = families(cfg)
+    fams = cfg.families
     for name, fam in fams.items():
         reports = fb.classify_fibers(fam)
         s.eq(f"{name} fiber inventory", fb.fiber_inventory(reports), EXPECTED_INVENTORIES[name])
@@ -183,7 +204,7 @@ def suite_fibers(cfg: RunConfig) -> Certificate:
     s.eq(
         "pencil discriminant ratio 2^-18",
         fams["pencil_jac"].disc_cubic() * Fraction(2**18),
-        pp.delta_z(),
+        cfg.pencil.delta_z(),
     )
     pb = fb.pullback_double_base(fams["shioda"])
     s.eq("base change squares onto the double-cover family (a2)", pb.a2, fams["kummer12"].a2)
@@ -196,12 +217,12 @@ def suite_fibers(cfg: RunConfig) -> Certificate:
 
 def suite_identification(cfg: RunConfig) -> Certificate:
     s = _Suite("identification", cfg)
-    cp = cfg.cover()
+    cp = cfg.cover
     quartic = hm.QuarticGenus1(UPoly((1, 0, -cp.lam1, 0, 1)))
-    km = fb.build_kummer12(cp)
+    km = cfg.families["kummer12"]
     for variant in ("k15", "k23"):
-        coeffs = g2.normal_form_coeffs(cp, variant)
-        e, f = g5.moduli_ef(coeffs)
+        coeffs = cfg.coeffs if variant == cfg.variant else g2.normal_form_coeffs(cp, variant)
+        e, f = g2.moduli_ef(coeffs)
         ip = fb.mu_nu_kappa(
             hm.jacobian_of_quartic(quartic), -e / (3 * cp.ell), -f / (3 * cp.ell)
         )
@@ -234,9 +255,7 @@ def suite_identification(cfg: RunConfig) -> Certificate:
 
 def suite_pencil(cfg: RunConfig) -> Certificate:
     s = _Suite("pencil", cfg)
-    cp = cfg.cover()
-    pp = p3.PencilParams.from_cover(cp, cfg.variant)
-    coeffs = g2.normal_form_coeffs(cp, cfg.variant)
+    cp, pp = cfg.cover, cfg.pencil
 
     # point-map identities on the reference quartic and on random quartics
     rng = random.Random(20260810)
@@ -273,17 +292,8 @@ def suite_pencil(cfg: RunConfig) -> Certificate:
         mc = p3.classify_member(pp, t)
         s.eq(f"member at t={t}", mc.kind, "ReducibleLinePlusGenus2")
     ng3 = p3.node_genus2(pp, 3)
-    group = frozenset(
-        {
-            g2.TwoTorsionPoint.identity(),
-            g2.TwoTorsionPoint.of(1, 5),
-            g2.TwoTorsionPoint.of(2, 3),
-            g2.TwoTorsionPoint.of(4, 6),
-        }
-    )
-    rich = g2.richelot_from_goepel(cp.base, group)
     s.wp("normalized reducible member matches the quotient curve",
-         g2.igusa_clebsch(ng3), g2.igusa_clebsch(rich))
+         g2.igusa_clebsch(ng3), g2.igusa_clebsch(cfg.richelot))
     s.wp("normalized reducible member matches the nodal model",
          g2.igusa_clebsch(ng3), g2.igusa_clebsch(p3.nodal_target(pp)))
     octic_places = [f for f, _ in squarefree_places(pp.octic())]
@@ -342,7 +352,7 @@ def suite_pencil(cfg: RunConfig) -> Certificate:
     # moduli-frame member equals the base-frame member
     for t in (1, Fraction(2, 3), 5):
         s.flag(
-            f"moduli member identity at t={t}", p3.member_frames_agree(cp, coeffs, t)
+            f"moduli member identity at t={t}", p3.member_frames_agree(cp, cfg.coeffs, t)
         )
 
     # the j-invariant bridge at the even member
@@ -370,9 +380,7 @@ def suite_pencil(cfg: RunConfig) -> Certificate:
 
 def suite_genus5(cfg: RunConfig) -> Certificate:
     s = _Suite("genus5", cfg)
-    cp = cfg.cover()
-    pp = p3.PencilParams.from_cover(cp, cfg.variant)
-    coeffs = g2.normal_form_coeffs(cp, cfg.variant)
+    cp, pp, coeffs = cfg.cover, cfg.pencil, cfg.coeffs
     qt = g5.build_quadrics(pp, 1)
     loc = g5.gamma_locus(qt)  # raises if the block factorization fails
     s.flag("rank-locus block factorization", True)
@@ -408,8 +416,8 @@ def suite_genus5(cfg: RunConfig) -> Certificate:
     nf, _ = g2.isogenous_normal_form(cp, cfg.variant)
     s.wp("associated genus-2 curve matches the isogenous normal form",
          g2.igusa_clebsch(pr), g2.igusa_clebsch(nf))
+    pdual = cfg.families["pencil_dual"]
     for t in (1, 5, Fraction(7, 3), Fraction(1, 2), -2):
-        pdual = fb.build_pencil_dual(pp.quartic, pp.ip)
         a2v, a4v, _ = pdual.fiber(t)
         s.eq(
             f"elliptic quotient j matches the dual fiber at t={t}",
@@ -419,7 +427,7 @@ def suite_genus5(cfg: RunConfig) -> Certificate:
     # moduli-frame quadrics
     for t in (1, Fraction(2, 3)):
         s.flag(f"moduli quadrics identity at t={t}", g5.quadrics_frames_agree(cp, coeffs, t))
-    e_val, f_val = g5.moduli_ef(coeffs)
+    e_val, f_val = g2.moduli_ef(coeffs)
     s.eq("split parameters multiply to c0/c2", e_val * f_val, coeffs.c0 / coeffs.c2)
     s.eq("split parameters sum to c1/c2", e_val + f_val, coeffs.c1 / coeffs.c2)
 
@@ -432,7 +440,7 @@ def suite_genus5(cfg: RunConfig) -> Certificate:
     s.eq("linear-quadratic factor resultant", r13, t0)
     s.eq("cubic-quadratic factor resultant", r23, t0 * (sg * sd))
     p1, p2, p3f = g5.w14_factors(pp)
-    sext = _mul_rows(_mul_rows(p1, p2), p3f)
+    sext = convolve(convolve(p1, p2), p3f)
     i2, i4, i6, i10 = igusa_clebsch_upoly(sext)
     br = bracket(pp.p, pp.q)
     s.flag("I2 coprime to the bracket", _gcd_deg(i2, br) == 0)
@@ -462,14 +470,6 @@ def _conic_resultant(pp: p3.PencilParams) -> UPoly:
     return resultant_upoly_coeffs(q1.as_upoly_in_x(), q2.as_upoly_in_x())
 
 
-def _mul_rows(a, b):
-    out = [UPoly() for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
 def _divisible(a: UPoly, b: UPoly) -> bool:
     try:
         a.exact_div(b)
@@ -479,8 +479,6 @@ def _divisible(a: UPoly, b: UPoly) -> bool:
 
 
 def _gcd_deg(a: UPoly, b: UPoly) -> int:
-    from .upoly import gcd
-
     return gcd(a, b).degree
 
 
@@ -495,15 +493,15 @@ TABLE_HEIGHTS = {
 
 def suite_heights(cfg: RunConfig) -> Certificate:
     s = _Suite("heights", cfg)
-    cp = cfg.cover()
-    pp = p3.PencilParams.from_cover(cp, cfg.variant)
+    pp = cfg.pencil
     ss = fb.sections_from_aj(pp.quartic, pp.ip)
     names = ["sigma", "T1", "T2", "T3", "S1", "S2", "S3"]
     secs = dict(zip(names, ss.all()))
+    pairing = fb.HeightPairing(ss.model)
     got = {}
     for i, n1 in enumerate(names):
         for n2 in names[i:]:
-            got[(n1, n2)] = fb.height_pairing(ss.model, secs[n1], secs[n2])
+            got[(n1, n2)] = pairing(secs[n1], secs[n2])
     expected = {}
     for i, n1 in enumerate(names):
         for n2 in names[i:]:
@@ -534,27 +532,16 @@ SUITES = {
 SUITE_ORDER = ["richelot", "fibers", "identification", "pencil", "genus5", "heights"]
 
 
-def run_suites(cfg: RunConfig, max_workers: int | None = None):
-    """Run the selected suites in a thread pool; results come back in the
-    canonical suite order regardless of completion order."""
-    import concurrent.futures as cf
-    import os
-
+def run_suites(cfg: RunConfig):
+    """Run the selected suites one after another, in the canonical suite
+    order; they share the data built on the configuration."""
     wanted = list(cfg.suites)
     if "all" in wanted:
         wanted = list(SUITE_ORDER)
     for name in wanted:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-    if max_workers is None:
-        env = os.environ.get("PRYMKIT_THREADS")
-        max_workers = max(1, int(env)) if env else min(4, os.cpu_count() or 1)
-    results = {}
-    with cf.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futs = {pool.submit(SUITES[name], cfg): name for name in wanted}
-        for fut in cf.as_completed(futs):
-            results[futs[fut]] = fut.result()
-    return [results[name] for name in SUITE_ORDER if name in results]
+    return [SUITES[name](cfg) for name in SUITE_ORDER if name in wanted]
 
 
 # -- recheck ------------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from prymkit.upoly import UPoly
 from prymkit.invariants import igusa_clebsch, igusa_clebsch_upoly, wp_equal, wp_scale_equal
 from prymkit.genus2 import Genus2Curve, igusa_clebsch as ic_curve, rosenhain_curve
@@ -178,6 +180,48 @@ def test_wp_equal_zero_branch():
     assert wp_equal(a, b)
     c = IgusaClebsch(Fraction(1), Fraction(2), Fraction(3), Fraction(5))
     assert not wp_equal(a, c)
+
+
+def test_wp_equal_needs_one_scale_for_i6_and_i10():
+    from prymkit.invariants import IgusaClebsch
+
+    # I4 gives r^4 = 1, I6 gives r^6 = 1 so r^2 = 1, and then I10 needs r^10 = -1
+    a = IgusaClebsch(Fraction(0), Fraction(1), Fraction(1), Fraction(1))
+    b = IgusaClebsch(Fraction(0), Fraction(1), Fraction(1), Fraction(-1))
+    assert not wp_equal(a, b)
+    assert not wp_equal(b, a)
+
+
+invariant_values = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-20, max_value=20, max_denominator=5)
+)
+nonzero_rho = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
+
+
+def _scale(a, rho):
+    """The tuple r . a with r^2 = rho: I_k is multiplied by rho^(k/2)."""
+    from prymkit.invariants import IgusaClebsch
+
+    return IgusaClebsch(a.i2 * rho, a.i4 * rho**2, a.i6 * rho**3, a.i10 * rho**5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[invariant_values] * 4), nonzero_rho)
+def test_wp_equal_against_the_definition(vals, rho):
+    from dataclasses import replace
+
+    from prymkit.invariants import IgusaClebsch
+
+    a = IgusaClebsch(*vals)
+    b = _scale(a, rho)
+    assert wp_equal(a, b) and wp_equal(b, a)
+    # a sign flip of I6 alone is the scale rho = -1 exactly when I2 = I10 = 0;
+    # otherwise rho^3 = -1 contradicts rho = 1 (from I2) or rho^5 = 1 (from I10)
+    if a.i6 != 0:
+        assert wp_equal(a, replace(b, i6=-b.i6)) == (a.i2 == 0 and a.i10 == 0)
+    # likewise for I10, whose flip clashes with I2 (rho = 1) or I6 (rho^3 = 1)
+    if a.i10 != 0:
+        assert wp_equal(a, replace(b, i10=-b.i10)) == (a.i2 == 0 and a.i6 == 0)
 
 
 def test_parametric_invariants_match_specialization(pencil):
