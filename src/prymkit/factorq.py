@@ -7,69 +7,90 @@ lifting to a Landau-Mignotte height bound, and subset recombination.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .upoly import UPoly, gcd
 
-# -- GF(p) dense polynomial helpers (ascending int lists) --------------------
+# -- dense polynomials over Z and Z/m (ascending int lists) -------------------
+# GF(p) is Z/m with m = p prime.
 
 
-def _gp_trim(a):
+def _z_trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
-def _gp_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _gp_trim(
-        [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    )
-
-
-def _gp_mul(a, b, p):
+def _z_mul(a, b):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _gp_trim(out)
+                out[i + j] += x * y
+    return _z_trim(out)
 
 
-def _gp_divmod(a, b, p):
-    """Quotient and remainder of a by b over GF(p)."""
-    a = list(a)
+def _z_sub(a, b):
+    n = max(len(a), len(b))
+    return _z_trim(
+        [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
+    )
+
+
+def _z_add(a, b):
+    n = max(len(a), len(b))
+    return _z_trim(
+        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+    )
+
+
+def _z_mod(a, m):
+    """a reduced into [0, m)."""
+    return _z_trim([x % m for x in a])
+
+
+def _sym(a, m):
+    out = []
+    for x in a:
+        v = x % m
+        if v > m // 2:
+            v -= m
+        out.append(v)
+    return _z_trim(out)
+
+
+def _zm_divmod(a, b, m):
+    """Quotient and remainder of a by b modulo m; b must have an invertible
+    lead mod m."""
+    a = [x % m for x in a]
+    _z_trim(a)
     db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
+    inv = pow(b[-1], -1, m)
     q = [0] * max(0, len(a) - db)
     while len(a) - 1 >= db:
-        if a[-1]:
-            f = a[-1] * inv % p
+        if a[-1] % m:
+            f = a[-1] * inv % m
             k = len(a) - 1 - db
             q[k] = f
             for i, y in enumerate(b):
-                a[k + i] = (a[k + i] - f * y) % p
+                a[k + i] = (a[k + i] - f * y) % m
         a.pop()
-        _gp_trim(a)
-        if not a:
-            break
-    return _gp_trim(q), _gp_trim(a)
+        while a and a[-1] % m == 0:
+            a.pop()
+    return _z_trim(q), a
 
 
 def _gp_gcd(a, b, p):
-    a, b = list(a), list(b)
     while b:
-        a, b = b, _gp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [x * inv % p for x in a]
-    return a
+        a, b = b, _zm_divmod(a, b, p)[1]
+    return _gp_monic(a, p) if a else a
 
 
 def _gp_deriv(a, p):
-    return _gp_trim([(i * a[i]) % p for i in range(1, len(a))])
+    return _z_mod([i * a[i] for i in range(1, len(a))], p)
 
 
 def _gp_monic(a, p):
@@ -80,11 +101,11 @@ def _gp_monic(a, p):
 def _gp_pow_x(e, mod, p):
     """x^e modulo mod over GF(p)."""
     result = [1]
-    base = _gp_divmod([0, 1], mod, p)[1]
+    base = _zm_divmod([0, 1], mod, p)[1]
     while e:
         if e & 1:
-            result = _gp_divmod(_gp_mul(result, base, p), mod, p)[1]
-        base = _gp_divmod(_gp_mul(base, base, p), mod, p)[1]
+            result = _zm_divmod(_z_mul(result, base), mod, p)[1]
+        base = _zm_divmod(_z_mul(base, base), mod, p)[1]
         e >>= 1
     return result
 
@@ -100,7 +121,7 @@ def _berlekamp(f, p):
     cur = [1]
     for _ in range(n):
         rows.append(cur + [0] * (n - len(cur)))
-        cur = _gp_divmod(_gp_mul(cur, xp, p), f, p)[1]
+        cur = _zm_divmod(_z_mul(cur, xp), f, p)[1]
     # nullspace of (Q - I)^T x = 0, i.e. left kernel of (Q - I)
     m = [[(rows[i][j] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
     basis = _left_nullspace(m, p)
@@ -109,7 +130,7 @@ def _berlekamp(f, p):
         return [f]
     factors = [f]
     for v in basis:
-        vpoly = _gp_trim(list(v))
+        vpoly = _z_trim(list(v))
         if len(vpoly) <= 1:
             continue
         nxt = []
@@ -120,10 +141,10 @@ def _berlekamp(f, p):
             pieces = []
             rem_f = fac
             for s in range(p):
-                g = _gp_gcd(rem_f, _gp_sub(vpoly, [s], p), p)
+                g = _gp_gcd(rem_f, _z_mod(_z_sub(vpoly, [s]), p), p)
                 if 0 < len(g) - 1 < len(rem_f) - 1:
                     pieces.append(g)
-                    rem_f, _ = _gp_divmod(rem_f, g, p)
+                    rem_f, _ = _zm_divmod(rem_f, g, p)
                 if len(rem_f) - 1 == 0:
                     break
             if len(rem_f) - 1 > 0:
@@ -174,68 +195,6 @@ def _left_nullspace(m, p):
 # -- Hensel lifting ------------------------------------------------------------
 
 
-def _z_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _z_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _z_trim(out)
-
-
-def _z_sub(a, b):
-    n = max(len(a), len(b))
-    return _z_trim(
-        [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def _z_add(a, b):
-    n = max(len(a), len(b))
-    return _z_trim(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def _sym(a, m):
-    out = []
-    for x in a:
-        v = x % m
-        if v > m // 2:
-            v -= m
-        out.append(v)
-    return _z_trim(out)
-
-
-def _zm_divmod(a, b, m):
-    """Quotient and remainder of a by b modulo m; b must have an invertible
-    lead mod m."""
-    a = [x % m for x in a]
-    _z_trim(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, m)
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db:
-        if a[-1] % m:
-            f = a[-1] * inv % m
-            k = len(a) - 1 - db
-            q[k] = f
-            for i, y in enumerate(b):
-                a[k + i] = (a[k + i] - f * y) % m
-        a.pop()
-        while a and a[-1] % m == 0:
-            a.pop()
-    return _z_trim(q), a
-
-
 def _hensel_step(m, f, g, h, s, t):
     """One quadratic Hensel step: from f = g h (mod m), s g + t h = 1 (mod m)
     to the same congruences mod m^2 (coefficients in symmetric range)."""
@@ -257,10 +216,10 @@ def _gp_egcd(a, b, p):
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q, _ = _gp_divmod(r0, r1, p)
-        r0, r1 = r1, _gp_sub(r0, _gp_mul(q, r1, p), p)
-        s0, s1 = s1, _gp_sub(s0, _gp_mul(q, s1, p), p)
-        t0, t1 = t1, _gp_sub(t0, _gp_mul(q, t1, p), p)
+        q, _ = _zm_divmod(r0, r1, p)
+        r0, r1 = r1, _z_mod(_z_sub(r0, _z_mul(q, r1)), p)
+        s0, s1 = s1, _z_mod(_z_sub(s0, _z_mul(q, s1)), p)
+        t0, t1 = t1, _z_mod(_z_sub(t0, _z_mul(q, t1)), p)
     inv = pow(r0[-1], p - 2, p)
     return (
         [x * inv % p for x in r0],
@@ -278,29 +237,17 @@ def _hensel_lift(p, f, f_list, level):
     k = n // 2
     g = [f[-1] % p]
     for fi in f_list[:k]:
-        g = [x % p for x in _z_mul(g, fi)]
-        g = _gp_trim(g)
+        g = _z_mod(_z_mul(g, fi), p)
     h = [1]
     for fi in f_list[k:]:
-        h = [x % p for x in _z_mul(h, fi)]
-        h = _gp_trim(h)
+        h = _z_mod(_z_mul(h, fi), p)
     _, s, t = _gp_egcd(g, h, p)
     g, h, s, t = _sym(g, p), _sym(h, p), _sym(s, p), _sym(t, p)
     m = p
     for _ in range(level):
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
         m = m * m
-    return _hensel_lift_sub(p, g, f_list[:k], level) + _hensel_lift_sub(
-        p, h, f_list[k:], level
-    )
-
-
-def _hensel_lift_sub(p, f, f_list, level):
-    if len(f_list) == 1:
-        m = p ** (2**level)
-        lc_inv = pow(f[-1], -1, m)
-        return [_sym([x * lc_inv % m for x in f], m)]
-    return _hensel_lift(p, f, f_list, level)
+    return _hensel_lift(p, g, f_list[:k], level) + _hensel_lift(p, h, f_list[k:], level)
 
 
 # -- Zassenhaus over the integers -----------------------------------------------
@@ -317,8 +264,7 @@ def _factor_sqfree_int(f):
     p = 3
     while True:
         if lc % p:
-            fp = [x % p for x in f]
-            fp = _gp_trim(list(fp))
+            fp = _z_mod(f, p)
             if len(fp) - 1 == n:
                 if len(_gp_gcd(fp, _gp_deriv(fp, p), p)) - 1 == 0:
                     break
@@ -344,7 +290,7 @@ def _factor_sqfree_int(f):
         found = True
         while found and 2 * k <= len(pool):
             found = False
-            for subset in _subsets(len(pool), k):
+            for subset in itertools.combinations(range(len(pool)), k):
                 cand = [rest[-1] % m]
                 for idx in subset:
                     cand = _sym([c % m for c in _z_mul(cand, pool[idx])], m)
@@ -362,12 +308,6 @@ def _factor_sqfree_int(f):
     if len(rest) - 1 > 0:
         factors.append(_z_primitive(rest))
     return factors
-
-
-def _subsets(n, k):
-    import itertools
-
-    return itertools.combinations(range(n), k)
 
 
 def _z_primitive(a):

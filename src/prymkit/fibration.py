@@ -16,7 +16,7 @@ from .rat import Rat, rat, sqrt_exact
 from .upoly import UPoly, gcd, inv_mod, valuation
 from .ratfunc import RatFunc
 from .factorq import squarefree_places
-from .hermite import EllipticW, QuarticGenus1, hermite_polys, _aj_image
+from .hermite import EllipticW, _aj_image
 from .genus2 import CoverPoint
 
 INF_PLACE = "inf"
@@ -44,10 +44,7 @@ class WeierstrassFamily:
         return self.a2**3 * -64 + self.a2 * self.a4 * 288 - self.a6 * 864
 
     def delta(self) -> UPoly:
-        a2, a4, a6 = self.a2, self.a4, self.a6
-        return (
-            a2**3 * a6 * 4 - a2 * a2 * a4 * a4 - a2 * a4 * a6 * 18 + a4**3 * 4 + a6 * a6 * 27
-        ) * -16
+        return self.disc_cubic() * 16
 
     def disc_cubic(self) -> UPoly:
         """Discriminant of the defining cubic in x (equals delta()/16)."""
@@ -252,32 +249,19 @@ def build_dual_kummer(cp: CoverPoint) -> WeierstrassFamily:
     return build_dual_kummer_lams(cp.lam1, cp.lam2, cp.lam3)
 
 
-def _pencil_data(q: QuarticGenus1, ip: IsogenyParams):
-    _, _, qq = hermite_polys(q)
-    from .upoly import discriminant
-
-    if discriminant(qq) == 0:
-        raise ValueError("companion quartic has a repeated root")
-    p0 = q.p  # P as polynomial; evaluated along the base it is P(x0)
-    return p0, qq
+def build_pencil_jac(pp) -> WeierstrassFamily:
+    """The Jacobian family of the pencil pp (a pencil3.PencilParams) over
+    the base parameter x0."""
+    ip = pp.ip
+    m = pp.p * ip.mu + pp.q * ip.nu
+    return WeierstrassFamily(m * -2, m * m - pp.p * pp.p * ip.norm, UPoly(), var="x0")
 
 
-def build_pencil_jac(q: QuarticGenus1, ip: IsogenyParams) -> WeierstrassFamily:
-    if ip.nu == 0 or ip.norm == 0:
-        raise ValueError("parameter constraints violated (nu or the norm vanish)")
-    p, qq = _pencil_data(q, ip)
-    m = p * ip.mu + qq * ip.nu
-    a2 = m * -2
-    a4 = m * m - p * p * ip.norm
-    return WeierstrassFamily(a2, a4, UPoly(), var="x0")
-
-
-def build_pencil_dual(q: QuarticGenus1, ip: IsogenyParams) -> WeierstrassFamily:
-    if ip.nu == 0 or ip.norm == 0:
-        raise ValueError("parameter constraints violated (nu or the norm vanish)")
-    p, qq = _pencil_data(q, ip)
-    m = p * ip.mu + qq * ip.nu
-    return WeierstrassFamily(m * 4, p * p * (4 * ip.norm), UPoly(), var="x0")
+def build_pencil_dual(pp) -> WeierstrassFamily:
+    """The 2-isogenous dual of the Jacobian family of the pencil pp."""
+    ip = pp.ip
+    m = pp.p * ip.mu + pp.q * ip.nu
+    return WeierstrassFamily(m * 4, pp.p * pp.p * (4 * ip.norm), UPoly(), var="x0")
 
 
 def velu2(w: WeierstrassFamily) -> WeierstrassFamily:
@@ -304,14 +288,6 @@ def pullback_double_base(w: WeierstrassFamily, var: str = "v") -> WeierstrassFam
         var=var,
         d=w.d,
     )
-
-
-def delta_z(q: QuarticGenus1, ip: IsogenyParams) -> UPoly:
-    """The degree-24 discriminant of the genus-one pencil attached to
-    (P, gamma, delta): 2^20 nu^2 (mu^2-nu kappa) P^2 (kappa P^2 + 2 mu P Q + nu Q^2)^2."""
-    p, qq = _pencil_data(q, ip)
-    inner = p * p * ip.kappa + p * qq * (2 * ip.mu) + qq * qq * ip.nu
-    return p * p * inner * inner * (Fraction(2**20) * ip.nu * ip.nu * ip.norm)
 
 
 # -- sections -----------------------------------------------------------------------
@@ -357,33 +333,24 @@ class SectionSet:
         return (self.sigma, self.t1, self.t2, self.t3, self.s1, self.s2, self.s3)
 
 
-def sections_from_aj(q: QuarticGenus1, ip: IsogenyParams) -> SectionSet:
-    """Rational sections of the Jacobian pencil via the fiberwise point map.
+def sections_from_aj(pp) -> SectionSet:
+    """Rational sections of the Jacobian pencil of pp (a
+    pencil3.PencilParams) via the fiberwise point map.
 
     Requires the quartic to split over the rationals.  The returned model
     is the constant quadratic twist of the printed pencil on which these
     sections are rational.
     """
     from .factorq import rational_roots
-    from .upoly import discriminant
 
-    roots = rational_roots(q.p)
-    if len(roots) != 4 or q.p != UPoly.from_roots(roots, q.p.lead):
+    p, ip = pp.p, pp.ip
+    roots = rational_roots(p)
+    if len(roots) != 4 or p != UPoly.from_roots(roots, p.lead):
         raise ValueError("sections not rational: the quartic does not split")
-    jac = build_pencil_jac(q, ip)
-    model = jac.twist(-8)
-    p, qq = _pencil_data(q, ip)
-    m = p * ip.mu + qq * ip.nu
-    r, r1, _ = hermite_polys(q)
-    bmat = r * (-2 * (ip.gamma + ip.delta)) - r1 * 4
-    from .bpoly import BPoly
-
-    x_, y_ = BPoly.x(), BPoly.y()
-    bmat = bmat + (x_ - y_) * (x_ - y_) * (ip.gamma * ip.delta)
+    model = build_pencil_jac(pp).twist(-8)
+    m = p * ip.mu + pp.q * ip.nu
     # fiber quartic G(x) = B(x, x0)^2 - 4 (gamma-delta)^2 P(x0) P(x)
-    c = (ip.gamma - ip.delta) ** 2
-    rows_b = bmat.as_upoly_in_x()  # coefficients in x, entries UPoly in x0
-    pb0 = p  # P(x0) as UPoly in x0
+    rows_b = pp.b.as_upoly_in_x()  # coefficients in x, entries UPoly in x0
 
     def g_coeff(i):
         acc = UPoly()
@@ -391,10 +358,10 @@ def sections_from_aj(q: QuarticGenus1, ip: IsogenyParams) -> SectionSet:
             b = i - a
             if 0 <= b < len(rows_b):
                 acc = acc + rows_b[a] * rows_b[b]
-        return acc - pb0 * (4 * c * q.p.coeff(i))
+        return acc - p * (4 * pp.csq * p.coeff(i))
 
     gcoeffs = [g_coeff(i) for i in range(5)]
-    wvals = [bmat.eval_x(x0r) for x0r in roots]  # B(x''_n, x0) as UPoly in x0
+    wvals = [pp.b.eval_x(x0r) for x0r in roots]  # B(x''_n, x0) as UPoly in x0
     bx = roots[0]
     bw = wvals[0]
     secs = []

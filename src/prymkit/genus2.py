@@ -11,6 +11,7 @@ from fractions import Fraction
 from .rat import Rat, rat, sqrt_exact
 from .upoly import UPoly, bracket, discriminant
 from .invariants import IgusaClebsch, igusa_clebsch as _ic_sextic
+from .quadforms import det
 
 INF = object()  # marker for the branch point at infinity
 
@@ -219,13 +220,7 @@ def partition_quadratics(p: RosenhainPoint, pairs):
 def delta_abc(a: UPoly, b: UPoly, c: UPoly) -> Rat:
     """Determinant of the coefficient matrix of (a, b, c) in the basis
     (xi^2, xi, 1)."""
-    rows = [[q.coeff(2), q.coeff(1), q.coeff(0)] for q in (a, b, c)]
-    (a2, a1, a0), (b2, b1, b0), (c2, c1, c0) = rows
-    return (
-        a2 * (b1 * c0 - b0 * c1)
-        - a1 * (b2 * c0 - b0 * c2)
-        + a0 * (b2 * c1 - b1 * c2)
-    )
+    return det([[q.coeff(2), q.coeff(1), q.coeff(0)] for q in (a, b, c)])
 
 
 def richelot(c: Genus2Curve, factors) -> Genus2Curve:

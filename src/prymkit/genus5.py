@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .rat import Rat, rat, rat_str, sqrt_exact
 from .upoly import UPoly, bracket, convolve, gcd, resultant_upoly_coeffs
@@ -28,6 +29,11 @@ class QuadricTriple:
     q2: QuadForm3
     pp: PencilParams
     x0: Rat
+
+    @cached_property
+    def locus(self) -> "GammaLocus":
+        """The rank locus of the net of quadrics, computed once per triple."""
+        return gamma_locus(self)
 
     def matrices(self):
         """Row-major 5x5 symmetric matrices in the basis (V, W, X, Y, Z)."""
@@ -88,22 +94,10 @@ def quadrics_frames_agree(cp: CoverPoint, coeffs: NormalFormCoeffs, t) -> bool:
     x0 -> sqrt(l) t, scaled by 9 c2 l (and V, W rescaled accordingly)."""
     t = rat(t)
     ell = cp.ell
-    lam1 = (cp.base.l1 + cp.base.l2 * cp.base.l3) / ell
-    from .hermite import QuarticGenus1
-
-    e, f = moduli_ef(coeffs)
-    base = PencilParams.create(
-        QuarticGenus1(UPoly((1, 0, -lam1, 0, 1))), -e / (3 * ell), -f / (3 * ell)
-    )
+    base = PencilParams.base_frame(cp, coeffs)
     scale = 9 * coeffs.c2 * ell
     g, d = base.ip.gamma, base.ip.delta
-    x, y = BPoly.x(), BPoly.y()
-    shift = (x - y) * (x - y)
-    conics = {
-        "q1": shift * (g * g) - base.r * (4 * g) - base.r1 * 4,
-        "q2": shift * (d * d) - base.r * (4 * d) - base.r1 * 4,
-        "q0": shift * (g * d) - base.r * (2 * (g + d)) - base.r1 * 4,
-    }
+    conics = {"q1": base.conic(g, g), "q2": base.conic(d, d), "q0": base.conic(g, d)}
     q0m, q1m, q2m = build_quadrics_moduli(cp, coeffs, t)
 
     def xy_part(q: QuadForm3) -> BPoly:
@@ -208,7 +202,7 @@ def gamma_line_branch_cubic(qt: QuadricTriple) -> UPoly:
     """Branch cubic of the double cover over the line component, obtained by
     restricting (residual conic) * (a0^2 - 4 a1 a2) to the line a0 = 0 with
     the parametrization [0 : x : 1]."""
-    loc = gamma_locus(qt)
+    loc = qt.locus
     prod = loc.residual_conic * loc.conic_minus
     # substitute (a0, a1, a2) = (0, x, 1)
     out = {}
@@ -306,7 +300,7 @@ def w14_parametrized_sextic(qt: QuadricTriple) -> UPoly:
     intersecting the pencil of lines through the rational point [-2 : 1 : 1]
     with the conic.  Cross-checks the closed-form factors up to the mirror
     xi -> -xi and a nonzero constant."""
-    loc = gamma_locus(qt)
+    loc = qt.locus
     conic = loc.residual_conic
     g, d = qt.pp.ip.gamma, qt.pp.ip.delta
     # alpha1 = alpha2 + (-1 + (g-d) xi / 2)(alpha0 + 2 alpha2) with UPoly xi-th

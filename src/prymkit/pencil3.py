@@ -10,19 +10,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .rat import Rat, rat, sqrt_exact
 from .upoly import UPoly, bracket, discriminant, valuation
 from .bpoly import BPoly
 from .factorq import squarefree_places, rational_roots
 from .hermite import QuarticGenus1, EllipticW, hermite_polys, jacobian_of_quartic
-from .fibration import IsogenyParams, mu_nu_kappa, delta_z
+from .fibration import IsogenyParams, mu_nu_kappa
 from .genus2 import CoverPoint, Genus2Curve, NormalFormCoeffs, moduli_ef, normal_form_coeffs
 
 
 @dataclass(frozen=True)
 class PencilParams:
-    """A marked quartic with two chosen Jacobian abscissas (gamma, delta)."""
+    """A marked quartic with two chosen Jacobian abscissas (gamma, delta),
+    and the data of its pencil: the Hermite polynomials R, R1 and Q of the
+    quartic, the conics built from them, and the discriminant Delta_z.
+    Build it with create, from_cover or base_frame."""
 
     quartic: QuarticGenus1
     s: EllipticW
@@ -30,7 +34,6 @@ class PencilParams:
     r: BPoly
     r1: BPoly
     q: UPoly
-    b: BPoly
 
     @classmethod
     def create(cls, quartic: QuarticGenus1, gamma, delta) -> "PencilParams":
@@ -41,13 +44,10 @@ class PencilParams:
             raise AssertionError("companion-quartic discriminant identity failed")
         if discriminant(q) == 0:
             raise ValueError("companion quartic is not separable")
-        x, y = BPoly.x(), BPoly.y()
-        b = (x - y) * (x - y) * (ip.gamma * ip.delta) - r1 * 4 - r * (
-            2 * (ip.gamma + ip.delta)
-        )
-        if not b.is_symmetric():
+        pp = cls(quartic, s, ip, r, r1, q)
+        if not pp.b.is_symmetric():
             raise AssertionError("section polynomial lost its symmetry")
-        return cls(quartic, s, ip, r, r1, q, b)
+        return pp
 
     @classmethod
     def from_cover(cls, cp: CoverPoint, variant: str = "k15") -> "PencilParams":
@@ -60,6 +60,14 @@ class PencilParams:
         quartic = QuarticGenus1(UPoly((l1 * l23, 0, -(l1 + l23), 0, 1)))
         return cls.create(quartic, gamma, delta)
 
+    @classmethod
+    def base_frame(cls, cp: CoverPoint, coeffs: NormalFormCoeffs) -> "PencilParams":
+        """The base-frame pencil of the moduli pencil: the quartic
+        x^4 - Lambda1 x^2 + 1 with (gamma, delta) = (-e, -f) / (3 l)."""
+        e, f = moduli_ef(coeffs)
+        quartic = QuarticGenus1(UPoly((1, 0, -cp.lam1, 0, 1)))
+        return cls.create(quartic, -e / (3 * cp.ell), -f / (3 * cp.ell))
+
     # -- derived data -------------------------------------------------------
     @property
     def p(self) -> UPoly:
@@ -69,8 +77,22 @@ class PencilParams:
     def csq(self) -> Rat:
         return (self.ip.gamma - self.ip.delta) ** 2
 
+    @cached_property
+    def b(self) -> BPoly:
+        """B(x, x0), the conic at (gamma, delta) that the members are built on."""
+        return self.conic(self.ip.gamma, self.ip.delta)
+
+    def conic(self, g, h) -> BPoly:
+        """(x - x0)^2 g h - 2 (g + h) R - 4 R1, a symmetric biquadratic in
+        (x, x0)."""
+        x, y = BPoly.x(), BPoly.y()
+        return (x - y) * (x - y) * (g * h) - self.r * (2 * (g + h)) - self.r1 * 4
+
     def delta_z(self) -> UPoly:
-        return delta_z(self.quartic, self.ip)
+        """The degree-24 discriminant of the pencil:
+        2^20 nu^2 (mu^2 - nu kappa) P^2 (kappa P^2 + 2 mu P Q + nu Q^2)^2."""
+        p, octic = self.p, self.octic()
+        return p * p * octic * octic * (Fraction(2**20) * self.ip.nu**2 * self.ip.norm)
 
     def octic(self) -> UPoly:
         p, q = self.p, self.q
@@ -190,10 +212,7 @@ def member_frames_agree(cp: CoverPoint, coeffs: NormalFormCoeffs, t) -> bool:
     """
     t = rat(t)
     ell = cp.ell
-    lam1 = (cp.base.l1 + cp.base.l2 * cp.base.l3) / ell
-    base_quartic = QuarticGenus1(UPoly((1, 0, -lam1, 0, 1)))
-    e, f = moduli_ef(coeffs)
-    base = PencilParams.create(base_quartic, -e / (3 * ell), -f / (3 * ell))
+    base = PencilParams.base_frame(cp, coeffs)
     scale = 9 * coeffs.c2 * ell
     p_sub = scaled_even_subs(base.p, ell)
     b_sub = base.b.scaled_subs(ell)
@@ -358,19 +377,13 @@ def bitangent_conics(pp: PencilParams, x0):
     from .quadforms import QuadForm3
 
     x0 = rat(x0)
-    rx = pp.r.eval_y(x0)
-    r1x = pp.r1.eval_y(x0)
     g, d = pp.ip.gamma, pp.ip.delta
-    shift = UPoly.from_roots([x0, x0])
-    q1 = shift * (g * g) - rx * (4 * g) - r1x * 4
-    q2 = shift * (d * d) - rx * (4 * d) - r1x * 4
-    q0_xy = shift * (g * d) - rx * (2 * (g + d)) - r1x * 4
-    p0 = pp.p(x0)
-    return (
-        QuadForm3.from_xy_quadratic(_homogenize(q0_xy, 2), 2 * p0),
-        QuadForm3.from_xy_quadratic(_homogenize(q1, 2)),
-        QuadForm3.from_xy_quadratic(_homogenize(q2, 2)),
-    )
+
+    def form(h, k, z2_coeff=0):
+        xy = _homogenize(pp.conic(h, k).eval_y(x0), 2)
+        return QuadForm3.from_xy_quadratic(xy, z2_coeff)
+
+    return form(g, d, 2 * pp.p(x0)), form(g, g), form(d, d)
 
 
 # -- hyperelliptic members --------------------------------------------------------------

@@ -55,16 +55,22 @@ class QuadForm3:
             )
         )
 
-    def det(self) -> Fraction:
-        m = self.m
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
     def to_json(self):
         return [[rat_str(v) for v in r] for r in self.m]
+
+
+def det(rows):
+    """Determinant of a square matrix by cofactor expansion along the first
+    row; the entries are Fractions, UPolys or TriPolys."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = rows[0][0] - rows[0][0]
+    for j, a in enumerate(rows[0]):
+        if not a:
+            continue
+        term = a * det([r[:j] + r[j + 1:] for r in rows[1:]])
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
 
 
 def det3_upoly(mats) -> UPoly:
@@ -77,12 +83,7 @@ def det3_upoly(mats) -> UPoly:
             for j in range(n):
                 if q.m[i][j]:
                     entries[i][j] = entries[i][j] + w * q.m[i][j]
-    e = entries
-    return (
-        e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
-        - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
-        + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
-    )
+    return det(entries)
 
 
 class TriPoly:
@@ -186,48 +187,21 @@ class TriPoly:
         return "TriPoly(" + (" + ".join(parts) or "0") + ")"
 
 
-def det_pencil3(q0: QuadForm3, q1: QuadForm3, q2: QuadForm3) -> TriPoly:
-    """det(a0 q0 + a1 q1 + a2 q2) as a homogeneous cubic in (a0, a1, a2)."""
-    a = [TriPoly.var(i) for i in range(3)]
-    entries = [
-        [
-            a[0] * q0.m[i][j] + a[1] * q1.m[i][j] + a[2] * q2.m[i][j]
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    e = entries
-    return (
-        e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
-        - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
-        + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
-    )
-
-
-def det_pencil5(mats5, nvars=3) -> TriPoly:
-    """det(sum a_k M_k) for 5x5 symmetric rational matrices, by cofactor
-    expansion over TriPoly entries."""
-    a = [TriPoly.var(i) for i in range(3)]
-    n = 5
-    entries = [
-        [
-            sum((a[k] * mats5[k][i][j] for k in range(3)), TriPoly())
-            for j in range(n)
-        ]
+def _net(mats):
+    """The matrix a0 M0 + a1 M1 + a2 M2 with TriPoly entries."""
+    a = [TriPoly.var(k) for k in range(3)]
+    n = len(mats[0])
+    return [
+        [sum((a[k] * mats[k][i][j] for k in range(3)), TriPoly()) for j in range(n)]
         for i in range(n)
     ]
-    return _det_tripoly(entries)
 
 
-def _det_tripoly(e):
-    n = len(e)
-    if n == 1:
-        return e[0][0]
-    acc = TriPoly()
-    for j in range(n):
-        if not e[0][j]:
-            continue
-        minor = [[e[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = e[0][j] * _det_tripoly(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+def det_pencil3(q0: QuadForm3, q1: QuadForm3, q2: QuadForm3) -> TriPoly:
+    """det(a0 q0 + a1 q1 + a2 q2) as a homogeneous cubic in (a0, a1, a2)."""
+    return det(_net((q0.m, q1.m, q2.m)))
+
+
+def det_pencil5(mats5) -> TriPoly:
+    """det(sum a_k M_k) for 5x5 symmetric rational matrices."""
+    return det(_net(mats5))

@@ -1,5 +1,6 @@
 """Exact rational scalars and their canonical string form."""
 
+import math
 from fractions import Fraction
 
 Rat = Fraction
@@ -33,19 +34,7 @@ def sqrt_exact(x: Fraction):
     if x == 0:
         return Fraction(0)
     n, d = x.numerator, x.denominator
-    rn = _isqrt_exact(n)
-    rd = _isqrt_exact(d)
-    if rn is None or rd is None:
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn != n or rd * rd != d:
         return None
     return Fraction(rn, rd)
-
-
-def _isqrt_exact(n: int):
-    r = _isqrt(n)
-    return r if r * r == n else None
-
-
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)

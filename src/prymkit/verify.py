@@ -72,8 +72,8 @@ class RunConfig:
             "shioda": fb.build_shioda(cp),
             "kummer12": fb.build_kummer12(cp),
             "dual_kummer": fb.build_dual_kummer(cp),
-            "pencil_jac": fb.build_pencil_jac(pp.quartic, pp.ip),
-            "pencil_dual": fb.build_pencil_dual(pp.quartic, pp.ip),
+            "pencil_jac": fb.build_pencil_jac(pp),
+            "pencil_dual": fb.build_pencil_dual(pp),
         }
 
     def to_json(self):
@@ -218,16 +218,12 @@ def suite_fibers(cfg: RunConfig) -> Certificate:
 def suite_identification(cfg: RunConfig) -> Certificate:
     s = _Suite("identification", cfg)
     cp = cfg.cover
-    quartic = hm.QuarticGenus1(UPoly((1, 0, -cp.lam1, 0, 1)))
     km = cfg.families["kummer12"]
     for variant in ("k15", "k23"):
         coeffs = cfg.coeffs if variant == cfg.variant else g2.normal_form_coeffs(cp, variant)
-        e, f = g2.moduli_ef(coeffs)
-        ip = fb.mu_nu_kappa(
-            hm.jacobian_of_quartic(quartic), -e / (3 * cp.ell), -f / (3 * cp.ell)
-        )
-        jac = fb.build_pencil_jac(quartic, ip)
-        sn = sqrt_exact(ip.norm)
+        base = p3.PencilParams.base_frame(cp, coeffs)
+        jac = fb.build_pencil_jac(base)
+        sn = sqrt_exact(base.ip.norm)
         s.flag(f"norm is a rational square ({variant})", sn is not None)
         matched = None
         for c in (Fraction(1) / (2 * sn), Fraction(-1) / (2 * sn)):
@@ -382,7 +378,7 @@ def suite_genus5(cfg: RunConfig) -> Certificate:
     s = _Suite("genus5", cfg)
     cp, pp, coeffs = cfg.cover, cfg.pencil, cfg.coeffs
     qt = g5.build_quadrics(pp, 1)
-    loc = g5.gamma_locus(qt)  # raises if the block factorization fails
+    loc = qt.locus  # raises if the block factorization fails
     s.flag("rank-locus block factorization", True)
     s.eq(
         "rational point on the residual conic",
@@ -459,14 +455,10 @@ def suite_genus5(cfg: RunConfig) -> Certificate:
 
 
 def _conic_resultant(pp: p3.PencilParams) -> UPoly:
-    from .bpoly import BPoly
     from .upoly import resultant_upoly_coeffs
 
     g, d = pp.ip.gamma, pp.ip.delta
-    x, y = BPoly.x(), BPoly.y()
-    sh = (x - y) * (x - y)
-    q1 = sh * (g * g) - pp.r * (4 * g) - pp.r1 * 4
-    q2 = sh * (d * d) - pp.r * (4 * d) - pp.r1 * 4
+    q1, q2 = pp.conic(g, g), pp.conic(d, d)
     return resultant_upoly_coeffs(q1.as_upoly_in_x(), q2.as_upoly_in_x())
 
 
@@ -494,7 +486,7 @@ TABLE_HEIGHTS = {
 def suite_heights(cfg: RunConfig) -> Certificate:
     s = _Suite("heights", cfg)
     pp = cfg.pencil
-    ss = fb.sections_from_aj(pp.quartic, pp.ip)
+    ss = fb.sections_from_aj(pp)
     names = ["sigma", "T1", "T2", "T3", "S1", "S2", "S3"]
     secs = dict(zip(names, ss.all()))
     pairing = fb.HeightPairing(ss.model)

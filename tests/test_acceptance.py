@@ -43,13 +43,13 @@ from prymkit.fibration import (
     classify_fibers,
     fiber_inventory,
     height_pairing,
-    mu_nu_kappa,
     pullback_double_base,
     sections_from_aj,
     total_ord_delta,
     velu2,
 )
 from prymkit.pencil3 import (
+    PencilParams,
     build_member_generic,
     classify_member,
     classify_place,
@@ -130,8 +130,8 @@ def test_criterion_03_fiber_inventories(cover, pencil):
         "shioda": ({"I0*": 2, "I2": 6}, build_shioda(cover)),
         "kummer12": ({"I2": 12}, build_kummer12(cover)),
         "dual_kummer": ({"I4": 4, "I1": 8}, build_dual_kummer(cover)),
-        "pencil_jac": ({"I2": 12}, build_pencil_jac(pencil.quartic, pencil.ip)),
-        "pencil_dual": ({"I4": 4, "I1": 8}, build_pencil_dual(pencil.quartic, pencil.ip)),
+        "pencil_jac": ({"I2": 12}, build_pencil_jac(pencil)),
+        "pencil_dual": ({"I4": 4, "I1": 8}, build_pencil_dual(pencil)),
     }
     for name, (want, fam) in expected.items():
         reports = classify_fibers(fam)
@@ -146,11 +146,9 @@ def test_criterion_04_identification(cover):
     for variant in ("k15", "k23"):
         coeffs = normal_form_coeffs(cover, variant)
         e, f = moduli_ef(coeffs)
-        ip = mu_nu_kappa(
-            jacobian_of_quartic(quartic), -e / (3 * cover.ell), -f / (3 * cover.ell)
-        )
-        jac = build_pencil_jac(quartic, ip)
-        sn = sqrt_exact(ip.norm)
+        base = PencilParams.create(quartic, -e / (3 * cover.ell), -f / (3 * cover.ell))
+        jac = build_pencil_jac(base)
+        sn = sqrt_exact(base.ip.norm)
         assert sn is not None
         matches = [
             c
@@ -166,8 +164,8 @@ def test_criterion_04_identification(cover):
 
 
 def test_criterion_05_isogeny_pair(cover, pencil):
-    jac = build_pencil_jac(pencil.quartic, pencil.ip)
-    dual = build_pencil_dual(pencil.quartic, pencil.ip)
+    jac = build_pencil_jac(pencil)
+    dual = build_pencil_dual(pencil)
     img = velu2(jac)
     assert (img.a2, img.a4, img.a6) == (dual.a2, dual.a4, dual.a6)
     assert jac.disc_cubic() * Fraction(2**18) == pencil.delta_z()
@@ -263,7 +261,7 @@ def test_criterion_08_genus5_suite(pencil, cover):
     assert wp_scale_equal(igusa_clebsch(pr), igusa_clebsch(target), r16)
     nf, _ = isogenous_normal_form(cover, "k15")
     assert wp_equal(igusa_clebsch(pr), igusa_clebsch(nf))
-    dual = build_pencil_dual(pencil.quartic, pencil.ip)
+    dual = build_pencil_dual(pencil)
     for t in (1, 5, Fraction(7, 3), Fraction(1, 2), -2):
         a2v, a4v, _ = dual.fiber(Fraction(t))
         assert bielliptic_quotient_j(pencil, t) == j_from_cubic(a2v, a4v)
@@ -350,7 +348,7 @@ def test_criterion_10_elliptic_quotient_j(pencil, rosenhain):
 
 
 def test_criterion_11_height_table(pencil):
-    ss = sections_from_aj(pencil.quartic, pencil.ip)
+    ss = sections_from_aj(pencil)
     names = ["sigma", "T1", "T2", "T3", "S1", "S2", "S3"]
     secs = dict(zip(names, ss.all()))
     expected = {

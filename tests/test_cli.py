@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from prymkit.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -17,10 +22,13 @@ def test_verify_single_suite(capsys):
     assert all(c["ok"] for c in cert["checks"])
 
 
-def test_verify_all_pass_exit_zero(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--lambda", "9,2,8",
-                           "--kappa15", "3", "--kappa23", "4", "--suite", "all")
+@pytest.mark.parametrize("variant", ["k15", "k23"])
+def test_verify_all_pass_exit_zero(capsys, variant):
+    code, out, _ = run_cli(capsys, "verify", "--lambda", "9,2,8", "--kappa15", "3",
+                           "--kappa23", "4", "--variant", variant, "--suite", "all")
     assert code == 0
+    # the certificates at the reference moduli, byte for byte
+    assert out == (DATA / f"reference_{variant}.jsonl").read_text()
     lines = [json.loads(l) for l in out.strip().splitlines()]
     assert [d["suite"] for d in lines] == [
         "richelot", "fibers", "identification", "pencil", "genus5", "heights",

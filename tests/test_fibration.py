@@ -50,8 +50,8 @@ def test_dual_kummer_inventory(cover):
 
 
 def test_pencil_inventories(pencil):
-    jac = build_pencil_jac(pencil.quartic, pencil.ip)
-    dual = build_pencil_dual(pencil.quartic, pencil.ip)
+    jac = build_pencil_jac(pencil)
+    dual = build_pencil_dual(pencil)
     assert fiber_inventory(classify_fibers(jac)) == {"I2": 12}
     assert fiber_inventory(classify_fibers(dual)) == {"I4": 4, "I1": 8}
     assert total_ord_delta(classify_fibers(jac)) == 24
@@ -70,8 +70,8 @@ def test_base_change_squares(cover):
 
 
 def test_velu2_reproduces_dual(pencil):
-    jac = build_pencil_jac(pencil.quartic, pencil.ip)
-    dual = build_pencil_dual(pencil.quartic, pencil.ip)
+    jac = build_pencil_jac(pencil)
+    dual = build_pencil_dual(pencil)
     img = velu2(jac)
     assert (img.a2, img.a4, img.a6) == (dual.a2, dual.a4, dual.a6)
 
@@ -84,7 +84,7 @@ def test_velu2_requires_two_torsion(cover):
 
 
 def test_velu2_twice_preserves_j(pencil):
-    jac = build_pencil_jac(pencil.quartic, pencil.ip)
+    jac = build_pencil_jac(pencil)
     again = velu2(velu2(jac))
     dz = pencil.delta_z()
     checked = 0
@@ -100,7 +100,7 @@ def test_velu2_twice_preserves_j(pencil):
 
 
 def test_discriminant_ratio(pencil):
-    jac = build_pencil_jac(pencil.quartic, pencil.ip)
+    jac = build_pencil_jac(pencil)
     assert jac.disc_cubic() * Fraction(2**18) == pencil.delta_z()
 
 
@@ -138,14 +138,14 @@ def test_classification_table_small_cases():
 
 
 def test_torsion_sections_satisfy_family(pencil):
-    ss = sections_from_aj(pencil.quartic, pencil.ip)
+    ss = sections_from_aj(pencil)
     for sec in (ss.t1, ss.t2, ss.t3, ss.s1, ss.s2, ss.s3):
         assert ss.model.section_on(sec.x, sec.y)
         assert sec.y.num == UPoly() or sec.name.startswith("S")
 
 
 def test_section_degrees(pencil):
-    ss = sections_from_aj(pencil.quartic, pencil.ip)
+    ss = sections_from_aj(pencil)
     for sec in (ss.s1, ss.s2, ss.s3):
         assert sec.x.is_poly() and sec.y.is_poly()
         assert sec.x.num.degree <= 4 and sec.y.num.degree <= 6
@@ -158,8 +158,8 @@ def test_classification_matches_direct_fiber_counting(cover, pencil):
         build_shioda(cover),
         build_kummer12(cover),
         build_dual_kummer(cover),
-        build_pencil_jac(pencil.quartic, pencil.ip),
-        build_pencil_dual(pencil.quartic, pencil.ip),
+        build_pencil_jac(pencil),
+        build_pencil_dual(pencil),
     )
     for fam in fams:
         reports = classify_fibers(fam)
@@ -202,7 +202,7 @@ def test_torsion_abscissas(pencil):
     p, q = pencil.p, pencil.q
     m = p * ip.mu + q * ip.nu
     sn = sqrt_exact(ip.norm)
-    ss = sections_from_aj(pencil.quartic, pencil.ip)
+    ss = sections_from_aj(pencil)
     # on the section model the nonzero 2-torsion abscissas are -8(M +- sqrt(norm) P)
     assert ss.t2.x.num == (m + p * sn) * -8
     assert ss.t3.x.num == (m - p * sn) * -8

@@ -129,7 +129,7 @@ def test_quotient_agrees_with_line_restriction(pencil, qt1):
 
 
 def test_quotient_j_matches_dual_fiber(pencil):
-    dual = build_pencil_dual(pencil.quartic, pencil.ip)
+    dual = build_pencil_dual(pencil)
     for t in (1, 5, Fraction(7, 3), Fraction(1, 2), -2):
         a2v, a4v, _ = dual.fiber(Fraction(t))
         assert bielliptic_quotient_j(pencil, t) == j_from_cubic(a2v, a4v)

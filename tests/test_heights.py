@@ -14,13 +14,13 @@ from prymkit.fibration import (
 
 @pytest.fixture(scope="module")
 def section_set(pencil):
-    return sections_from_aj(pencil.quartic, pencil.ip)
+    return sections_from_aj(pencil)
 
 
 def test_model_is_a_constant_twist(pencil, section_set):
     from prymkit.fibration import build_pencil_jac
 
-    jac = build_pencil_jac(pencil.quartic, pencil.ip)
+    jac = build_pencil_jac(pencil)
     tw = jac.twist(-8)
     assert (tw.a2, tw.a4, tw.a6) == (
         section_set.model.a2,

@@ -131,7 +131,7 @@ def test_quotient_quartic_feeds_the_jacobian_pencil(pencil):
     from prymkit.hermite import QuarticGenus1, jacobian_of_quartic
     from prymkit.fibration import build_pencil_jac
 
-    model = build_pencil_jac(pencil.quartic, pencil.ip).twist(-8)
+    model = build_pencil_jac(pencil).twist(-8)
     for t in (Fraction(1), Fraction(5), Fraction(-7, 2)):
         g = build_member_generic(pencil, t).affine_g()
         e = jacobian_of_quartic(QuarticGenus1(g))
