@@ -10,27 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 
-from .upoly import UPoly, gcd
+from .upoly import UPoly, _z_mul, _z_trim, gcd
 
 # -- dense polynomials over Z and Z/m (ascending int lists) -------------------
-# GF(p) is Z/m with m = p prime.
-
-
-def _z_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _z_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _z_trim(out)
+# GF(p) is Z/m with m = p prime; _z_trim and _z_mul are the upoly kernel's.
 
 
 def _z_sub(a, b):

@@ -7,7 +7,7 @@ The zero polynomial has degree -1 (sentinel).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import factorial, gcd as int_gcd, lcm
 
 from .rat import rat, rat_str
 
@@ -101,14 +101,14 @@ class UPoly:
             return NotImplemented
         if not self.c or not other.c:
             return UPoly()
-        out = [Fraction(0)] * (len(self.c) + len(other.c) - 1)
-        for i, a in enumerate(self.c):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.c):
-                if b:
-                    out[i + j] += a * b
-        return UPoly(out)
+        # clear denominators, convolve over Z, divide once per coefficient
+        da, ia = _int_scaled(self.c)
+        db, ib = _int_scaled(other.c)
+        d = da * db
+        out = UPoly.__new__(UPoly)
+        # the top product is nonzero, so nothing needs trimming
+        out.c = tuple(Fraction(v, d) for v in _z_mul(ia, ib))
+        return out
 
     __rmul__ = __mul__
 
@@ -201,18 +201,11 @@ class UPoly:
         integer polynomial primitive with positive leading coefficient."""
         if not self.c:
             return Fraction(0), [0]
-        den = 1
-        for a in self.c:
-            den = den * a.denominator // int_gcd(den, a.denominator)
-        ints = [int(a * den) for a in self.c]
-        g = 0
-        for v in ints:
-            g = int_gcd(g, abs(v))
-        ints = [v // g for v in ints]
+        den, ints = _int_scaled(self.c)
+        g = int_gcd(*ints)
         if ints[-1] < 0:
-            ints = [-v for v in ints]
             g = -g
-        return Fraction(g, den), ints
+        return Fraction(g, den), [v // g for v in ints]
 
     # -- serialization ---------------------------------------------------
     def to_json(self):
@@ -265,6 +258,108 @@ def _coerce(v) -> UPoly:
     raise TypeError(f"cannot coerce {v!r} to UPoly")
 
 
+# -- the integer kernel: dense polynomials over Z as ascending int lists ----
+
+
+def _z_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _z_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _z_trim(out)
+
+
+def _int_scaled(coeffs):
+    """(D, ints) with D the lcm of the denominators and ints = D * coeffs."""
+    den = lcm(*(a.denominator for a in coeffs))
+    return den, [a.numerator * (den // a.denominator) for a in coeffs]
+
+
+def _int_prem(a, b):
+    """Exact pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b of ascending
+    int lists; b must be nonzero.  Returns [] for a zero remainder."""
+    a = _z_trim(list(a))
+    db, lb = len(b) - 1, b[-1]
+    owed = 0
+    for k in range(len(a) - 1 - db, -1, -1):
+        la = a.pop()
+        if la == 0:
+            # a skipped step still owes its power of lc(b)
+            owed += 1
+            continue
+        a = [v * lb for v in a]
+        for i in range(db):
+            a[k + i] -= la * b[i]
+    if owed and a:
+        f = lb**owed
+        a = [v * f for v in a]
+    return _z_trim(a)
+
+
+def _int_resultant(a, b) -> int:
+    """Sylvester resultant of two nonzero trimmed ascending int lists by the
+    subresultant PRS over Z (Collins 1967; Brown 1971; Cohen, GTM 138,
+    Alg. 3.3.7)."""
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            s = -1
+    ca, cb = int_gcd(*a), int_gcd(*b)
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    a, b = [v // ca for v in a], [v // cb for v in b]
+    g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            s = -s
+        r = _int_prem(a, b)
+        if not r:
+            return 0
+        div = g * h**delta
+        a, b = b, [v // div for v in r]
+        g = a[-1]
+        # h <- h^(1 - delta) g^delta, an exact division in Z
+        h = g**delta // h ** (delta - 1) if delta else h
+    da = len(a) - 1
+    h = b[0] ** da // h ** (da - 1) if da else h
+    return s * t * h
+
+
+def _int_formal_resultant(a, b, m: int, n: int) -> int:
+    """Determinant of the Sylvester matrix of nonempty int lists a, b read as
+    forms of degrees m >= deg a and n >= deg b; a missing top coefficient is
+    a root at infinity."""
+    if m == 0:
+        return a[0] ** n
+    if n == 0:
+        return b[0] ** m
+    a, b = _z_trim(list(a)), _z_trim(list(b))
+    if not a or not b:
+        return 0
+    dp, dq = m - (len(a) - 1), n - (len(b) - 1)
+    if dp and dq:
+        return 0
+    r = _int_resultant(a, b)
+    if dp:
+        # expanding along the dp leading columns, where only q's rows are
+        # nonzero, gives lc(q)^dp with the sign (-1)^(n dp)
+        r *= (-1) ** (n * dp) * b[-1] ** dp
+    if dq:
+        r *= a[-1] ** dq
+    return r
+
+
 # -- gcd via primitive pseudo-remainder sequence -------------------------
 
 
@@ -278,102 +373,38 @@ def gcd(p: UPoly, q: UPoly) -> UPoly:
     _, b = q.primitive_int()
     if len(a) < len(b):
         a, b = b, a
-    while True:
-        if all(v == 0 for v in b):
-            break
-        r = _int_prem(a, b)
-        if all(v == 0 for v in r):
-            a, b = b, r
-            break
-        r = _int_primitive(r)
-        a, b = b, r
-    g = UPoly(a)
-    return g.monic()
-
-
-def _int_prem(a, b):
-    """Pseudo-remainder of integer coefficient lists (ascending)."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        k = len(a) - 1 - db
-        la = a[-1]
-        a = [v * lb for v in a]
-        for i, bv in enumerate(b):
-            a[k + i] -= la * bv
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a or [0]
-
-
-def _int_primitive(a):
-    g = 0
-    for v in a:
-        g = int_gcd(g, abs(v))
-    if g == 0:
-        return [0]
-    return [v // g for v in a]
+    while b:
+        a, b = b, _int_prem(a, b)
+        if b:
+            g = int_gcd(*b)
+            b = [v // g for v in b]
+    return UPoly(a).monic()
 
 
 # -- resultants and discriminants ----------------------------------------
 
 
 def resultant(p: UPoly, q: UPoly, formal: tuple[int, int] | None = None) -> Fraction:
-    """Sylvester-convention resultant.
+    """Sylvester-convention resultant, by the subresultant PRS over Z on the
+    primitive integer parts of p and q.
 
     With formal=(m, n) the inputs are treated as forms of those degrees,
-    i.e. vanishing top coefficients contribute roots at infinity.
+    i.e. vanishing top coefficients contribute roots at infinity, and the
+    value is the determinant of the (m + n) x (m + n) Sylvester matrix.
     """
     if not p and not q:
         raise ValueError("resultant of two zero polynomials")
-    if formal is not None:
+    if formal is None:
+        if not p or not q:
+            return Fraction(0)
+        m, n = p.degree, q.degree
+    else:
         m, n = formal
         if m < p.degree or n < q.degree:
             raise ValueError("formal degree below actual degree")
-        if m == 0 and n == 0:
-            return Fraction(1)
-        r = resultant(p, q)
-        if not p or not q:
-            return Fraction(0)
-        # a root at infinity on either side is shared iff the other side
-        # also drops degree; otherwise it scales by the leading coefficient
-        dp, dq = m - p.degree, n - q.degree
-        if dp and dq:
-            return Fraction(0)
-        if dp:
-            r = r * q.lead**dp
-        if dq:
-            r = r * p.lead**dq
-        return r
-    if not p or not q:
-        return Fraction(0)
-    if p.degree == 0:
-        return p.lead**q.degree
-    if q.degree == 0:
-        return q.lead**p.degree
-    # Euclidean recursion: res(p, q) = (-1)^{deg p deg q} res(q, p)
-    #                      res(p, q) = lc(q)^{deg p - deg r} res(q, r)
-    sign = 1
-    a, b = p, q
-    acc = Fraction(1)
-    while True:
-        if b.degree == 0:
-            acc *= b.lead**a.degree
-            break
-        r = a % b
-        if not r:
-            return Fraction(0)
-        if (a.degree * b.degree) % 2:
-            sign = -sign
-        acc *= b.lead ** (a.degree - r.degree)
-        a, b = b, r
-    return sign * acc
+    kp, ip = p.primitive_int()
+    kq, iq = q.primitive_int()
+    return kp**n * kq**m * _int_formal_resultant(ip, iq, m, n)
 
 
 def discriminant(p: UPoly) -> Fraction:
@@ -419,26 +450,6 @@ def valuation(p: UPoly, place: UPoly) -> int:
         p = q
 
 
-# -- interpolation -----------------------------------------------------------
-
-
-def interpolate(points) -> UPoly:
-    """Newton interpolation through [(x_i, y_i)] with distinct rational x_i."""
-    xs = [rat(x) for x, _ in points]
-    ys = [rat(y) for _, y in points]
-    n = len(xs)
-    coeffs = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = UPoly()
-    basis = UPoly.one()
-    for i in range(n):
-        poly = poly + basis * coeffs[i]
-        basis = basis * UPoly((-xs[i], 1))
-    return poly
-
-
 def convolve(a, b):
     """Product of two polynomials given as ascending coefficient lists over
     any ring (rationals, UPoly, ...)."""
@@ -454,7 +465,16 @@ def convolve(a, b):
 
 def resultant_upoly_coeffs(f_coeffs, g_coeffs) -> UPoly:
     """Resultant in the main variable of two polynomials whose coefficients
-    are UPoly in a parameter; computed by evaluation and interpolation."""
+    are UPoly in a parameter t, with the x-degrees of f and g as formal
+    degrees.
+
+    f and g are scaled to integer coefficients and evaluated at the integer
+    nodes t = 0..N, where N bounds the degree of the result.  Each value is
+    an integer subresultant PRS; a leading coefficient that vanishes at a
+    node counts as a root at infinity.  Forward differences of the values
+    give N! * R(t) over Z, and the division by N! and by the scale factors
+    is made once, at the end.
+    """
     f = [c if isinstance(c, UPoly) else UPoly.const(c) for c in f_coeffs]
     g = [c if isinstance(c, UPoly) else UPoly.const(c) for c in g_coeffs]
     while f and not f[-1]:
@@ -466,15 +486,48 @@ def resultant_upoly_coeffs(f_coeffs, g_coeffs) -> UPoly:
     dm, dn = len(f) - 1, len(g) - 1
     hf = max(c.degree for c in f)
     hg = max(c.degree for c in g)
-    bound = dm * max(hg, 0) + dn * max(hf, 0)
-    pts = []
-    t = 0
-    while len(pts) < bound + 1:
-        tv = Fraction(t)
-        t = -t if t > 0 else -t + 1
-        if f[-1](tv) == 0 or g[-1](tv) == 0:
-            continue
-        fv = UPoly([c(tv) for c in f])
-        gv = UPoly([c(tv) for c in g])
-        pts.append((tv, resultant(fv, gv)))
-    return interpolate(pts)
+    bound = dm * hg + dn * hf
+    df, fz = _int_rows(f)
+    dg, gz = _int_rows(g)
+    values = [
+        _int_formal_resultant(
+            [_int_horner(r, t) for r in fz], [_int_horner(r, t) for r in gz], dm, dn
+        )
+        for t in range(bound + 1)
+    ]
+    acc, scale = _int_interpolate(values)
+    den = scale * df**dn * dg**dm
+    return UPoly([Fraction(v, den) for v in acc])
+
+
+def _int_interpolate(values):
+    """(P, N!) for int values at t = 0..N: the int list P is N! times the
+    polynomial of degree <= N through them, built from forward differences
+    on the falling-factorial basis."""
+    n = len(values) - 1
+    diffs = list(values)
+    # diffs[k] becomes the k-th forward difference at t = 0
+    for j in range(1, n + 1):
+        for k in range(n, j - 1, -1):
+            diffs[k] -= diffs[k - 1]
+    # N! P(t) = sum_k diffs[k] (N!/k!) t(t-1)...(t-k+1), nested from the top
+    nfact = factorial(n)
+    acc = []
+    for k in range(n, -1, -1):
+        acc = _z_mul(acc, [-k, 1]) or [0]
+        acc[0] += diffs[k] * (nfact // factorial(k))
+    return acc, nfact
+
+
+def _int_rows(cs):
+    """(D, rows): D the lcm of the denominators of the UPoly list cs, and
+    rows the int coefficient lists of D * cs."""
+    den = lcm(*(a.denominator for c in cs for a in c.c))
+    return den, [[a.numerator * (den // a.denominator) for a in c.c] for c in cs]
+
+
+def _int_horner(r, t: int) -> int:
+    acc = 0
+    for a in reversed(r):
+        acc = acc * t + a
+    return acc

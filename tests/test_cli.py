@@ -36,6 +36,26 @@ def test_verify_all_pass_exit_zero(capsys, variant):
     assert all(d["status"] == "pass" for d in lines)
 
 
+SWEEP_SUITES = ("richelot", "fibers", "identification", "genus5")
+
+
+@pytest.mark.parametrize("moduli, variant, suites, expected_code, golden", [
+    (("49,5,45", "7", "15"), "k15", SWEEP_SUITES, 0, "sweep_49_5_45_k15.jsonl"),
+    # pencil fails its members at t = +-4 here, in both variants
+    (("9,16,36", "3", "24"), "k23", SWEEP_SUITES + ("pencil",), 1, "sweep_9_16_36_k23.jsonl"),
+], ids=["49_5_45_k15", "9_16_36_k23"])
+def test_split_moduli_certificates(capsys, moduli, variant, suites, expected_code, golden):
+    # certificates away from the reference, where the parametric coefficients
+    # are largest, byte for byte
+    lam, k15, k23 = moduli
+    argv = ["verify", "--lambda", lam, "--kappa15", k15, "--kappa23", k23, "--variant", variant]
+    for suite in suites:
+        argv += ["--suite", suite]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == expected_code
+    assert out == (DATA / golden).read_text()
+
+
 def test_invalid_moduli_exit_two(capsys):
     code, _, err = run_cli(capsys, "verify", "--lambda", "4,2,2",
                            "--kappa15", "2", "--kappa23", "2")

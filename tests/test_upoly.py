@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,9 @@ from prymkit.upoly import (
     bracket,
     discriminant,
     gcd,
-    interpolate,
+    _int_interpolate,
     resultant,
+    resultant_upoly_coeffs,
     valuation,
 )
 from prymkit.bpoly import BPoly
@@ -38,6 +40,15 @@ def test_resultant_common_root_vanishes():
 def test_resultant_rejects_double_zero():
     with pytest.raises(ValueError):
         resultant(UPoly(), UPoly())
+
+
+def test_formal_resultant_sign():
+    # Sylvester matrix of 1 (as a form of degree 1) and x: det [[0,1],[1,0]]
+    assert resultant(UPoly([1]), UPoly([0, 1]), formal=(1, 1)) == -1
+    assert resultant(UPoly([0, 1]), UPoly([1]), formal=(1, 1)) == 1
+    assert resultant(UPoly([2]), x * x + 3, formal=(1, 2)) == 4
+    assert resultant(UPoly([2]), x**3 + 3, formal=(1, 3)) == -8
+    assert resultant(UPoly([3]), x - 1, formal=(0, 1)) == 3
 
 
 def test_discriminant_examples():
@@ -95,8 +106,113 @@ def test_gcd_and_valuation():
 
 def test_interpolate_roundtrip():
     p = UPoly((Fraction(1, 3), -2, 0, 5))
-    pts = [(Fraction(i), p(Fraction(i))) for i in range(-2, 3)]
-    assert interpolate(pts) == p
+    k, ints = p.primitive_int()
+    values = [sum(a * t**i for i, a in enumerate(ints)) for t in range(5)]
+    coeffs, scale = _int_interpolate(values)
+    assert UPoly(coeffs) * (k / scale) == p
+
+
+# -- sympy oracles ---------------------------------------------------------------
+
+
+def _random_upoly(rng, deg):
+    return UPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)]
+                 + [Fraction(rng.choice([-7, -2, -1, 1, 3, 5]), rng.randint(1, 6))])
+
+
+def _sym(p, var):
+    sympy = pytest.importorskip("sympy")
+    return sum(sympy.Rational(a.numerator, a.denominator) * var**i for i, a in enumerate(p.c))
+
+
+def _sympy_resultant(f, g, m, n, var):
+    """Sylvester resultant of f, g of degrees m, n in var; a degree-0 side
+    gives the power of the constant, the rest is sympy.resultant.
+
+    sympy.resultant returns Res(g, f) when deg f < deg g, so the larger
+    degree goes first and the swap sign (-1)^(mn) is applied here."""
+    sympy = pytest.importorskip("sympy")
+    if m == 0 and n == 0:
+        return sympy.Integer(1)
+    if m == 0:
+        return f**n
+    if n == 0:
+        return g**m
+    if m >= n:
+        return sympy.resultant(f, g, var)
+    return (-1) ** (m * n) * sympy.resultant(g, f, var)
+
+
+def _sylvester_det(p, q, m, n):
+    """Determinant of the Sylvester matrix of p, q read as forms of degrees m, n."""
+    sympy = pytest.importorskip("sympy")
+    pc = [sympy.Rational(p.coeff(i).numerator, p.coeff(i).denominator) for i in range(m, -1, -1)]
+    qc = [sympy.Rational(q.coeff(i).numerator, q.coeff(i).denominator) for i in range(n, -1, -1)]
+    rows = [[0] * i + pc + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + qc + [0] * (m - 1 - i) for i in range(m)]
+    return sympy.Matrix(rows).det() if rows else sympy.Integer(1)
+
+
+def _as_fraction(v):
+    return Fraction(int(v.p), int(v.q))
+
+
+def test_resultant_and_discriminant_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.Symbol("x")
+    rng = random.Random(20)
+    for _ in range(120):
+        p = _random_upoly(rng, rng.randint(0, 7))
+        q = _random_upoly(rng, rng.randint(0, 7))
+        expect = _sympy_resultant(_sym(p, xs), _sym(q, xs), p.degree, q.degree, xs)
+        assert resultant(p, q) == _as_fraction(expect), (p, q)
+        if p.degree >= 1:
+            assert discriminant(p) == _as_fraction(sympy.discriminant(_sym(p, xs), xs)), p
+
+
+def test_formal_resultant_matches_sylvester_determinant():
+    pytest.importorskip("sympy")
+    rng = random.Random(21)
+    for _ in range(80):
+        p = _random_upoly(rng, rng.randint(0, 5))
+        q = _random_upoly(rng, rng.randint(0, 5))
+        if rng.random() < 0.3:
+            p = UPoly(p.c[:-1])  # may drop several degrees, or vanish
+        m, n = p.degree + rng.randint(0, 2), q.degree + rng.randint(0, 2)
+        m, n = max(m, 0), max(n, 0)
+        expect = _sylvester_det(p, q, m, n)
+        assert resultant(p, q, formal=(m, n)) == _as_fraction(expect), (p, q, m, n)
+
+
+def _parametric_pair(rng, dm, dn, vanishing):
+    def coeff():
+        return UPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))])
+
+    f = [coeff() for _ in range(dm)] + [UPoly.from_roots(vanishing, lead=Fraction(3, 2))]
+    # g's leading coefficient vanishes at t = 3
+    g = [coeff() for _ in range(dn)] + [UPoly((1, Fraction(-1, 3)))]
+    return f, g
+
+
+@pytest.mark.parametrize("dm, dn, vanishing", [
+    (3, 2, [0, 2]),        # leading coefficient of f vanishes at nodes t = 0, 2
+    (1, 3, [1]),           # odd degrees with f of lower degree: the swap sign
+    (2, 2, [3, 4, 5]),     # both leading coefficients vanish at t = 3
+    (4, 1, []),
+    (0, 3, [1]),           # x-degree 0: the result is f0^3
+    (2, 0, [0]),           # x-degree 0 on the other side: g0^2
+    (0, 0, [2]),           # two constants: 1
+])
+def test_resultant_upoly_coeffs_matches_sympy(dm, dn, vanishing):
+    sympy = pytest.importorskip("sympy")
+    xs, ts = sympy.symbols("x t")
+    rng = random.Random(dm * 10 + dn)
+    f, g = _parametric_pair(rng, dm, dn, vanishing)
+    fs = sum(_sym(c, ts) * xs**i for i, c in enumerate(f))
+    gs = sum(_sym(c, ts) * xs**i for i, c in enumerate(g))
+    expect = sympy.expand(_sympy_resultant(fs, gs, dm, dn, xs))
+    got = resultant_upoly_coeffs(f, g)
+    assert sympy.expand(_sym(got, ts) - expect) == 0
 
 
 def test_bracket_basics():
