@@ -3,7 +3,7 @@ their Kummer-surface elliptic fibrations, and the associated genus-2 data."""
 
 from .rat import Rat, rat, rat_str, sqrt_exact
 from .upoly import UPoly, bracket, discriminant, gcd, resultant
-from .bpoly import BPoly
+from .bpoly import MPoly
 from .ratfunc import RatFunc
 from .factorq import rational_roots, squarefree_places
 from .invariants import IgusaClebsch, igusa_clebsch as igusa_clebsch_coeffs, wp_equal, wp_scale_equal
@@ -14,7 +14,7 @@ __all__ = [
     "rat_str",
     "sqrt_exact",
     "UPoly",
-    "BPoly",
+    "MPoly",
     "RatFunc",
     "bracket",
     "discriminant",

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .rat import Rat, rat, sqrt_exact
 from .upoly import UPoly, gcd, inv_mod, valuation
+from .bpoly import MPoly
 from .ratfunc import RatFunc
 from .factorq import squarefree_places
 from .hermite import EllipticW, _aj_image
@@ -349,19 +350,11 @@ def sections_from_aj(pp) -> SectionSet:
         raise ValueError("sections not rational: the quartic does not split")
     model = build_pencil_jac(pp).twist(-8)
     m = p * ip.mu + pp.q * ip.nu
-    # fiber quartic G(x) = B(x, x0)^2 - 4 (gamma-delta)^2 P(x0) P(x)
-    rows_b = pp.b.as_upoly_in_x()  # coefficients in x, entries UPoly in x0
-
-    def g_coeff(i):
-        acc = UPoly()
-        for a in range(len(rows_b)):
-            b = i - a
-            if 0 <= b < len(rows_b):
-                acc = acc + rows_b[a] * rows_b[b]
-        return acc - p * (4 * pp.csq * p.coeff(i))
-
-    gcoeffs = [g_coeff(i) for i in range(5)]
-    wvals = [pp.b.eval_x(x0r) for x0r in roots]  # B(x''_n, x0) as UPoly in x0
+    # fiber quartic G(x) = B(x, x0)^2 - 4 (gamma-delta)^2 P(x0) P(x), by
+    # powers of x with coefficients in Q[x0]
+    g = pp.b * pp.b - MPoly.from_upoly(p, 0, 2) * MPoly.from_upoly(p, 1, 2) * (4 * pp.csq)
+    gcoeffs = (g.upoly_rows() + [UPoly()] * 5)[:5]
+    wvals = [pp.b.subs(0, x0r).to_upoly() for x0r in roots]  # B(x''_n, x0) in x0
     bx = roots[0]
     bw = wvals[0]
     secs = []
@@ -386,56 +379,17 @@ def sections_from_aj(pp) -> SectionSet:
 
 
 def _node_x(w: WeierstrassFamily, place: UPoly) -> UPoly | None:
-    """x-coordinate (as residue mod the place) of the fiber node at an
-    I1/I2 place, or None when the reduced cubic is not nodal at x rational
-    over the residue field construction used here."""
-    a2r = w.a2 % place
-    a4r = w.a4 % place
-    a6r = w.a6 % place
-    # double root of x^3 + a2 x^2 + a4 x + a6 over Q[t]/(place):
-    # gcd of the cubic and its derivative
-    cub = [a6r, a4r, a2r, UPoly.one()]
-    der = [a4r, a2r * 2, UPoly.const(3)]
-    g = _poly_gcd_mod(cub, der, place)
-    if len(g) != 2:
+    """x-coordinate (as residue mod the place) of the fiber node at a
+    multiplicative place, or None when a2^2 - 3 a4 = c4/16 vanishes there.
+
+    A nodal cubic (x - r)^2 (x - s) has a2^2 - 3 a4 = (r - s)^2 and
+    9 a6 - a2 a4 = 2 r (r - s)^2, so r = (9 a6 - a2 a4) / (2 (a2^2 - 3 a4)).
+    """
+    a2, a4, a6 = (v % place for v in (w.a2, w.a4, w.a6))
+    c = (a2 * a2 - a4 * 3) % place
+    if not c:
         return None
-    # g = x + g0 (monic): node at -g0
-    return (-g[0]) % place
-
-
-def _poly_gcd_mod(a, b, place):
-    """Monic gcd of polynomials with coefficients in Q[t]/(place); inputs are
-    ascending coefficient lists of UPoly residues."""
-
-    def trim(c):
-        while c and not (c[-1] % place):
-            c.pop()
-        return c
-
-    def rem(f, g):
-        f = [x % place for x in f]
-        trim(f)
-        ginv = inv_mod(g[-1], place)
-        while len(f) >= len(g):
-            if f[-1] % place:
-                fac = (f[-1] * ginv) % place
-                k = len(f) - len(g)
-                for i, gv in enumerate(g):
-                    f[k + i] = (f[k + i] - fac * gv) % place
-            f.pop()
-            trim(f)
-            if not f:
-                break
-        return f
-
-    a = [x % place for x in a]
-    b = [x % place for x in b]
-    trim(a)
-    trim(b)
-    while b:
-        a, b = b, rem(a, b)
-    inv = inv_mod(a[-1], place)
-    return [(x * inv) % place for x in a]
+    return ((a6 * 9 - a2 * a4) * inv_mod(c * 2, place)) % place
 
 
 def _passes_node(sec: Section, w: WeierstrassFamily, place: UPoly) -> bool:

@@ -11,12 +11,12 @@ from functools import cached_property
 
 from .rat import Rat, rat, rat_str, sqrt_exact
 from .upoly import UPoly, bracket, convolve, gcd, resultant_upoly_coeffs
-from .bpoly import BPoly
+from .bpoly import MPoly
 from .factorq import rational_roots
 from .hermite import j_from_cubic
 from .genus2 import CoverPoint, Genus2Curve, NormalFormCoeffs, moduli_ef
-from .pencil3 import PencilParams, bitangent_conics, data_polys, scaled_even_subs
-from .quadforms import QuadForm3, TriPoly, det_pencil3, det_pencil5
+from .pencil3 import PencilParams, _homogenize, bitangent_conics, data_polys, scaled_even_subs
+from .quadforms import QuadForm3, det_pencil3, det_pencil5
 
 
 @dataclass(frozen=True)
@@ -89,32 +89,21 @@ def build_quadrics_moduli(cp: CoverPoint, coeffs: NormalFormCoeffs, t):
     return q0, q1, q2
 
 
-def quadrics_frames_agree(cp: CoverPoint, coeffs: NormalFormCoeffs, t) -> bool:
-    """The moduli quadrics equal the base-frame conics under x -> sqrt(l) X,
+def quadrics_frames_agree(
+    base: PencilParams, cp: CoverPoint, coeffs: NormalFormCoeffs, t
+) -> bool:
+    """The moduli quadrics equal the conics of the base-frame pencil base
+    (PencilParams.base_frame of cp and coeffs) under x -> sqrt(l) X,
     x0 -> sqrt(l) t, scaled by 9 c2 l (and V, W rescaled accordingly)."""
     t = rat(t)
     ell = cp.ell
-    base = PencilParams.base_frame(cp, coeffs)
     scale = 9 * coeffs.c2 * ell
     g, d = base.ip.gamma, base.ip.delta
-    conics = {"q1": base.conic(g, g), "q2": base.conic(d, d), "q0": base.conic(g, d)}
     q0m, q1m, q2m = build_quadrics_moduli(cp, coeffs, t)
-
-    def xy_part(q: QuadForm3) -> BPoly:
-        return BPoly(
-            {
-                (2, 0): q.m[0][0],
-                (1, 1): 2 * q.m[0][1],
-                (0, 2): q.m[1][1],
-            }
-        )
-
-    for key, mat in (("q1", q1m), ("q2", q2m), ("q0", q0m)):
-        sub = conics[key].scaled_subs(ell)  # now in (X, t)
-        got = xy_part(mat)
-        want_rows = sub.eval_y(t) * scale
-        want = BPoly({(i, 2 - i): want_rows.coeff(i) for i in range(3)})
-        if got != want:
+    for (h, k), mat in (((g, g), q1m), ((d, d), q2m), ((g, d), q0m)):
+        # the base-frame conic after x -> sqrt(l) X, x0 -> sqrt(l) t
+        want = base.conic(h, k).scaled_subs(ell).subs(1, t).to_upoly() * scale
+        if QuadForm3.from_xy_quadratic(_homogenize(want, 2), mat.m[2][2]) != mat:
             return False
     p0_base = scaled_even_subs(base.p, ell)(t)
     return q0m.m[2][2] == 2 * p0_base
@@ -145,24 +134,23 @@ def rational_points8(qt: QuadricTriple):
 
 @dataclass(frozen=True)
 class GammaLocus:
-    cubic: TriPoly
-    line: TriPoly
-    residual_conic: TriPoly
-    conic_minus: TriPoly  # a0^2 - 4 a1 a2
+    cubic: MPoly
+    line: MPoly
+    residual_conic: MPoly
+    conic_minus: MPoly  # a0^2 - 4 a1 a2
 
 
 def gamma_locus(qt: QuadricTriple) -> GammaLocus:
     cubic = det_pencil3(qt.q0, qt.q1, qt.q2)
-    line = TriPoly.var(0)
-    residual = cubic.divide_by_var(0)
-    a0, a1, a2 = (TriPoly.var(i) for i in range(3))
+    a0, a1, a2 = (MPoly.var(i, 3) for i in range(3))
+    residual = cubic.exact_divide(a0)
     minus = a0 * a0 - a1 * a2 * 4
     # block identity: det5 = det3 * (a1 a2 - a0^2/4)
     det5 = det_pencil5(qt.matrices())
     block = cubic * (a1 * a2 - a0 * a0 * Fraction(1, 4))
     if det5 != block:
         raise AssertionError("5x5 determinant lost its block factorization")
-    return GammaLocus(cubic, line, residual, minus)
+    return GammaLocus(cubic, a0, residual, minus)
 
 
 def prym_genus2(qt: QuadricTriple) -> Genus2Curve:
@@ -185,7 +173,7 @@ def bielliptic_quotient(pp: PencilParams, x0):
     g, d = pp.ip.gamma, pp.ip.delta
     sg = pp.s.rhs(g)
     sd = pp.s.rhs(d)
-    if pp.delta_z()(x0) == 0:
+    if pp.delta_z(x0) == 0:
         raise ValueError("singular member")
     a = sg * p0
     b = 2 * pp.ip.mu * p0 + (g - d) ** 2 * q0v
@@ -203,15 +191,7 @@ def gamma_line_branch_cubic(qt: QuadricTriple) -> UPoly:
     restricting (residual conic) * (a0^2 - 4 a1 a2) to the line a0 = 0 with
     the parametrization [0 : x : 1]."""
     loc = qt.locus
-    prod = loc.residual_conic * loc.conic_minus
-    # substitute (a0, a1, a2) = (0, x, 1)
-    out = {}
-    for (i, j, k), v in prod.m.items():
-        if i:
-            continue
-        out[j] = out.get(j, Fraction(0)) + v
-    n = max(out, default=-1)
-    return UPoly([out.get(m, 0) for m in range(n + 1)])
+    return (loc.residual_conic * loc.conic_minus).subs(0, 0).subs(2, 1).to_upoly()
 
 
 def fixed_point_data(qt: QuadricTriple):
@@ -303,28 +283,13 @@ def w14_parametrized_sextic(qt: QuadricTriple) -> UPoly:
     loc = qt.locus
     conic = loc.residual_conic
     g, d = qt.pp.ip.gamma, qt.pp.ip.delta
-    # alpha1 = alpha2 + (-1 + (g-d) xi / 2)(alpha0 + 2 alpha2) with UPoly xi-th
-    lam = UPoly((-1, (g - d) / Fraction(2)))  # -1 + (g-d)/2 * xi
-    # substitute and collect a binary quadratic in (alpha0, alpha2) over Q[xi]
-    quad = {}
-    for (i, j, k), v in conic.m.items():
-        # alpha1^j -> (alpha2 + lam*(alpha0 + 2 alpha2))^j
-        # expand in alpha0, alpha2 with UPoly coefficients
-        terms = {(0, 0): UPoly.const(v)}
-        for _ in range(j):
-            nxt = {}
-            for (e0, e2), cf in terms.items():
-                # multiply by (lam * alpha0 + (1 + 2 lam) * alpha2)
-                for de, w in (((1, 0), lam), ((0, 1), lam * 2 + 1)):
-                    key = (e0 + de[0], e2 + de[1])
-                    nxt[key] = nxt.get(key, UPoly()) + cf * w
-            terms = nxt
-        for (e0, e2), cf in terms.items():
-            key = (e0 + i, e2 + k)
-            quad[key] = quad.get(key, UPoly()) + cf
-    a20 = quad.get((2, 0), UPoly())
-    a11 = quad.get((1, 1), UPoly())
-    a02 = quad.get((0, 2), UPoly())
+    # alpha1 = alpha2 + lam (alpha0 + 2 alpha2) with lam = -1 + (g-d) xi / 2
+    # turns the conic into a20 alpha0^2 + a11 alpha0 alpha2 + a02 alpha2^2
+    # over Q[xi], read off at [alpha0 : alpha2] = [1 : 0], [0 : 1], [1 : 1]
+    lam = UPoly((-1, (g - d) / Fraction(2)))
+    a20 = conic(1, lam, 0)
+    a02 = conic(0, lam * 2 + 1, 1)
+    a11 = conic(1, lam * 3 + 1, 1) - a20 - a02
     # factor out the known root [alpha0 : alpha2] = [-2 : 1]:
     # a20 a0^2 + a11 a0 a2 + a02 a2^2 = (a0 + 2 a2)(a20 a0 + (a02/2) a2)
     if a20 * 4 - a11 * 2 + a02 != UPoly():

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rat import Rat, rat
-from .bpoly import BPoly
+from .bpoly import MPoly
 from .upoly import UPoly, bracket, discriminant
 
 
@@ -77,24 +77,18 @@ def hermite_polys(q: QuarticGenus1):
     """(R, R1, Q): the symmetric biquadratic with R(x,x) = P(x), the exact
     quotient R1 = (P(x)P(x0) - R^2)/(x - x0)^2, and Q(x) = R1(x, x)."""
     p0, p1, p2, p3, p4 = q.coeffs()
-    x, y = BPoly.x(), BPoly.y()
+    x, y = MPoly.var(0, 2), MPoly.var(1, 2)
     r = (
         x * x * y * y * p4
         + x * y * (x + y) * (p3 / 2)
         + (x * x + y * y) * (p2 / 6)
         + x * y * (2 * p2 / 3)
         + (x + y) * (p1 / 2)
-        + BPoly.const(p0)
+        + p0
     )
-    pb = BPoly.from_upoly(q.p, 0)
-    pb0 = BPoly.from_upoly(q.p, 1)
-    num = pb * pb0 - r * r
+    num = MPoly.from_upoly(q.p, 0, 2) * MPoly.from_upoly(q.p, 1, 2) - r * r
     r1 = num.exact_divide((x - y) * (x - y))
-    qc = {}
-    for (i, j), v in r1.m.items():
-        qc[i + j] = qc.get(i + j, Fraction(0)) + v
-    n = max(qc, default=-1)
-    qq = UPoly([qc.get(k, 0) for k in range(n + 1)])
+    qq = r1.to_upoly()
     return r, r1, qq
 
 
@@ -151,19 +145,15 @@ def abel_jacobi(q: QuarticGenus1, base, pt):
     return (xi, eta)
 
 
-def correspondence(q: QuarticGenus1, x0) -> BPoly:
+def correspondence(q: QuarticGenus1, x0) -> MPoly:
     """The biquadratic in (xi, x) linking abscissas of the point map at the
     given base abscissa; vanishes on matched pairs."""
     x0 = rat(x0)
     r, r1, _ = hermite_polys(q)
-    rx = r.eval_y(x0)
-    r1x = r1.eval_y(x0)
-    xi, xv = BPoly.x(), BPoly.y()
-    shift = (xv - BPoly.const(x0)) * (xv - BPoly.const(x0))
-    out = xi * xi * shift
-    out = out - xi * BPoly.from_upoly(rx, 1) * 4
-    out = out - BPoly.from_upoly(r1x, 1) * 4
-    return out
+    rx = r.subs(1, x0).permute((1, 0))  # R(x, x0) in the second variable
+    r1x = r1.subs(1, x0).permute((1, 0))
+    xi, xv = MPoly.var(0, 2), MPoly.var(1, 2)
+    return xi * xi * (xv - x0) ** 2 - xi * rx * 4 - r1x * 4
 
 
 # -- elliptic curve group law -----------------------------------------------------

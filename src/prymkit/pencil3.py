@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .rat import Rat, rat, sqrt_exact
 from .upoly import UPoly, bracket, discriminant, valuation
-from .bpoly import BPoly
+from .bpoly import MPoly
 from .factorq import squarefree_places, rational_roots
 from .hermite import QuarticGenus1, EllipticW, hermite_polys, jacobian_of_quartic
 from .fibration import IsogenyParams, mu_nu_kappa
@@ -31,8 +31,8 @@ class PencilParams:
     quartic: QuarticGenus1
     s: EllipticW
     ip: IsogenyParams
-    r: BPoly
-    r1: BPoly
+    r: MPoly
+    r1: MPoly
     q: UPoly
 
     @classmethod
@@ -45,7 +45,7 @@ class PencilParams:
         if discriminant(q) == 0:
             raise ValueError("companion quartic is not separable")
         pp = cls(quartic, s, ip, r, r1, q)
-        if not pp.b.is_symmetric():
+        if pp.b.permute((1, 0)) != pp.b:
             raise AssertionError("section polynomial lost its symmetry")
         return pp
 
@@ -78,22 +78,24 @@ class PencilParams:
         return (self.ip.gamma - self.ip.delta) ** 2
 
     @cached_property
-    def b(self) -> BPoly:
+    def b(self) -> MPoly:
         """B(x, x0), the conic at (gamma, delta) that the members are built on."""
         return self.conic(self.ip.gamma, self.ip.delta)
 
-    def conic(self, g, h) -> BPoly:
+    def conic(self, g, h) -> MPoly:
         """(x - x0)^2 g h - 2 (g + h) R - 4 R1, a symmetric biquadratic in
         (x, x0)."""
-        x, y = BPoly.x(), BPoly.y()
+        x, y = MPoly.var(0, 2), MPoly.var(1, 2)
         return (x - y) * (x - y) * (g * h) - self.r * (2 * (g + h)) - self.r1 * 4
 
+    @cached_property
     def delta_z(self) -> UPoly:
         """The degree-24 discriminant of the pencil:
         2^20 nu^2 (mu^2 - nu kappa) P^2 (kappa P^2 + 2 mu P Q + nu Q^2)^2."""
-        p, octic = self.p, self.octic()
+        p, octic = self.p, self.octic
         return p * p * octic * octic * (Fraction(2**20) * self.ip.nu**2 * self.ip.norm)
 
+    @cached_property
     def octic(self) -> UPoly:
         p, q = self.p, self.q
         return p * p * self.ip.kappa + p * q * (2 * self.ip.mu) + q * q * self.ip.nu
@@ -104,21 +106,21 @@ class PlaneQuartic:
     """a0 Z^4 + b2(X, Y) Z^2 + c4(X, Y) = 0 with b2, c4 homogeneous."""
 
     a0: Rat
-    b2: BPoly
-    c4: BPoly
+    b2: MPoly
+    c4: MPoly
 
     def affine_g(self) -> UPoly:
         """b2(x,1)^2 - 4 a0 c4(x,1): repeated roots locate singular members."""
-        b = self.b2.eval_y(1)
-        c = self.c4.eval_y(1)
+        b = self.b2.subs(1, 1).to_upoly()
+        c = self.c4.subs(1, 1).to_upoly()
         return b * b - c * (4 * self.a0)
 
     def evaluate(self, xv, yv, zv) -> Rat:
         xv, yv, zv = rat(xv), rat(yv), rat(zv)
         return (
             self.a0 * zv**4
-            + self.b2.eval(xv, yv) * zv**2
-            + self.c4.eval(xv, yv)
+            + self.b2(xv, yv) * zv**2
+            + self.c4(xv, yv)
         )
 
     def to_json(self):
@@ -131,16 +133,16 @@ class PlaneQuartic:
         }
 
 
-def _homogenize(p: UPoly, deg: int) -> BPoly:
+def _homogenize(p: UPoly, deg: int) -> MPoly:
     if p.degree > deg:
         raise ValueError("degree exceeds homogenization order")
-    return BPoly({(i, deg - i): a for i, a in enumerate(p.c)})
+    return MPoly(2, {(i, deg - i): a for i, a in enumerate(p.c)})
 
 
 def build_member_generic(pp: PencilParams, x0) -> PlaneQuartic:
     x0 = rat(x0)
     a0 = pp.p(x0)
-    b2 = _homogenize(pp.b.eval_y(x0), 2)
+    b2 = _homogenize(pp.b.subs(1, x0).to_upoly(), 2)
     c4 = _homogenize(pp.p * pp.csq, 4)
     return PlaneQuartic(a0, b2, c4)
 
@@ -152,17 +154,17 @@ def build_member_generic(pp: PencilParams, x0) -> PlaneQuartic:
 class DataPolys:
     """The four building blocks of the moduli pencil at parameter t."""
 
-    delta_t: BPoly
-    r_t: BPoly
-    r1_t: BPoly
-    p: BPoly
+    delta_t: MPoly
+    r_t: MPoly
+    r1_t: MPoly
+    p: MPoly
     p0_t: Rat
 
 
 def data_polys(cp: CoverPoint, t) -> DataPolys:
     t = rat(t)
     l1, l2, l3 = cp.base.l1, cp.base.l2, cp.base.l3
-    x, y = BPoly.x(), BPoly.y()
+    x, y = MPoly.var(0, 2), MPoly.var(1, 2)
     s123 = l1 * l2 * l3
     s = l1 + l2 * l3
     delta_t = (x - y * t) * (x - y * t)
@@ -176,9 +178,7 @@ def data_polys(cp: CoverPoint, t) -> DataPolys:
         + x * y * (2 * (l1 - 5 * l2 * l3) * (5 * l1 - l2 * l3) * t)
         + y * y * ((l1 * l1 + l2 * l2 * l3 * l3 - 34 * s123) * t * t + 24 * s)
     )
-    p = BPoly(
-        {(4, 0): s123, (2, 2): -s, (0, 4): 1}
-    )
+    p = MPoly(2, {(4, 0): s123, (2, 2): -s, (0, 4): 1})
     p0 = s123 * t**4 - s * t * t + 1
     return DataPolys(delta_t, r_t, r1_t, p, p0)
 
@@ -204,20 +204,22 @@ def scaled_even_subs(p: UPoly, scale_sq) -> UPoly:
     return UPoly([c * s2 ** (i // 2) for i, c in enumerate(p.c)])
 
 
-def member_frames_agree(cp: CoverPoint, coeffs: NormalFormCoeffs, t) -> bool:
-    """Polynomial identity between the moduli member at t and the base-frame
-    member at x0 = sqrt(l) t after x -> sqrt(l) X, z -> Z / sqrt(9 c2 l),
-    scaled through by (9 c2 l)^2.  Every substituted monomial must carry an
-    even power of sqrt(l); scaled_even_subs and BPoly.scaled_subs enforce it.
+def member_frames_agree(
+    base: PencilParams, cp: CoverPoint, coeffs: NormalFormCoeffs, t
+) -> bool:
+    """Polynomial identity between the moduli member at t and the member at
+    x0 = sqrt(l) t of the base-frame pencil base (PencilParams.base_frame of
+    cp and coeffs) after x -> sqrt(l) X, z -> Z / sqrt(9 c2 l), scaled
+    through by (9 c2 l)^2.  Every substituted monomial must carry an even
+    power of sqrt(l); scaled_even_subs and MPoly.scaled_subs enforce it.
     """
     t = rat(t)
     ell = cp.ell
-    base = PencilParams.base_frame(cp, coeffs)
     scale = 9 * coeffs.c2 * ell
     p_sub = scaled_even_subs(base.p, ell)
     b_sub = base.b.scaled_subs(ell)
     a0_gen = p_sub(t)
-    b2_gen = _homogenize(b_sub.eval_y(t), 2) * scale
+    b2_gen = _homogenize(b_sub.subs(1, t).to_upoly(), 2) * scale
     c4_gen = _homogenize(p_sub * base.csq, 4) * (scale * scale)
     mem = build_member_moduli(cp, coeffs, t)
     return mem.a0 == a0_gen and mem.b2 == b2_gen and mem.c4 == c4_gen
@@ -245,12 +247,12 @@ def classify_member(pp: PencilParams, x0) -> MemberClass:
     br = bracket(pp.p, pp.q)
     if br(x0) == 0:
         return MemberClass("SmoothHyperelliptic", {"vanishing": "[P,Q]", "x0": rat_str(x0)})
-    if pp.octic()(x0) == 0:
+    if pp.octic(x0) == 0:
         return MemberClass(
             "IrreducibleOneNodeGenus2",
             {"vanishing": "kappa P^2 + 2 mu P Q + nu Q^2", "x0": rat_str(x0)},
         )
-    if pp.delta_z()(x0) != 0:
+    if pp.delta_z(x0) != 0:
         return MemberClass("SmoothGenus3", {"x0": rat_str(x0)})
     raise AssertionError("discriminant vanished outside the known factors")
 
@@ -262,7 +264,7 @@ def classify_place(pp: PencilParams, place: UPoly) -> MemberClass:
         return MemberClass("ReducibleLinePlusGenus2", {"vanishing": "P", "place": place.to_json()})
     if valuation(bracket(pp.p, pp.q), place) > 0:
         return MemberClass("SmoothHyperelliptic", {"vanishing": "[P,Q]", "place": place.to_json()})
-    if valuation(pp.octic(), place) > 0:
+    if valuation(pp.octic, place) > 0:
         return MemberClass(
             "IrreducibleOneNodeGenus2",
             {"vanishing": "kappa P^2 + 2 mu P Q + nu Q^2", "place": place.to_json()},
@@ -290,7 +292,7 @@ def quartic_singular_points(q: PlaneQuartic):
             out.append(("conjugate-pair", {"place": f.to_json(), "mult": mult}))
             continue
         xv = -f.coeff(0)
-        b2v = q.b2.eval(xv, 1)
+        b2v = q.b2(xv, 1)
         z2 = -b2v / (2 * q.a0)
         zr = sqrt_exact(z2) if z2 >= 0 else None
         if zr is None:
@@ -302,7 +304,7 @@ def quartic_singular_points(q: PlaneQuartic):
             rank = _hessian_rank(q, xv, Fraction(1), zv)
             out.append(("node" if rank == 2 else "worse", {"x": str(xv), "z": str(zv), "hessian_rank": rank}))
     # singular points on Z = 0 would be repeated roots of c4
-    c4x = q.c4.eval_y(1)
+    c4x = q.c4.subs(1, 1).to_upoly()
     for f, mult in squarefree_places(c4x):
         if mult >= 2:
             out.append(("singular-on-z0", {"place": f.to_json(), "mult": mult}))
@@ -311,21 +313,15 @@ def quartic_singular_points(q: PlaneQuartic):
 
 def _hessian_rank(q: PlaneQuartic, xv, yv, zv) -> int:
     # second partials of F = a0 Z^4 + b2 Z^2 + c4 at the point
-    b, c = q.b2, q.c4
-    bxx = b.deriv_x().deriv_x()
-    bxy = b.deriv_x().deriv_y()
-    byy = b.deriv_y().deriv_y()
-    cxx = c.deriv_x().deriv_x()
-    cxy = c.deriv_x().deriv_y()
-    cyy = c.deriv_y().deriv_y()
-    bx = b.deriv_x()
-    by = b.deriv_y()
-    z2, z3 = zv * zv, zv**3
-    m = [
-        [cxx.eval(xv, yv) + bxx.eval(xv, yv) * z2, cxy.eval(xv, yv) + bxy.eval(xv, yv) * z2, 2 * bx.eval(xv, yv) * zv],
-        [cxy.eval(xv, yv) + bxy.eval(xv, yv) * z2, cyy.eval(xv, yv) + byy.eval(xv, yv) * z2, 2 * by.eval(xv, yv) * zv],
-        [2 * bx.eval(xv, yv) * zv, 2 * by.eval(xv, yv) * zv, 12 * q.a0 * z2 + 2 * b.eval(xv, yv)],
-    ]
+    def at(f, *ix):
+        for i in ix:
+            f = f.deriv(i)
+        return f(xv, yv)
+
+    z2 = zv * zv
+    m = [[at(q.c4, i, j) + at(q.b2, i, j) * z2 for j in (0, 1)] + [2 * at(q.b2, i) * zv]
+         for i in (0, 1)]
+    m.append([m[0][2], m[1][2], 12 * q.a0 * z2 + 2 * q.b2(xv, yv)])
     return _rank3(m)
 
 
@@ -356,7 +352,7 @@ def node_genus2(pp: PencilParams, x0) -> Genus2Curve:
     x0 = rat(x0)
     if pp.p(x0) != 0:
         raise ValueError("x0 is not a root of the quartic")
-    bx = pp.b.eval_y(x0)
+    bx = pp.b.subs(1, x0).to_upoly()
     return Genus2Curve(bx * pp.p * (9 * pp.csq * pp.csq))
 
 
@@ -380,7 +376,7 @@ def bitangent_conics(pp: PencilParams, x0):
     g, d = pp.ip.gamma, pp.ip.delta
 
     def form(h, k, z2_coeff=0):
-        xy = _homogenize(pp.conic(h, k).eval_y(x0), 2)
+        xy = _homogenize(pp.conic(h, k).subs(1, x0).to_upoly(), 2)
         return QuadForm3.from_xy_quadratic(xy, z2_coeff)
 
     return form(g, d, 2 * pp.p(x0)), form(g, g), form(d, d)
@@ -429,7 +425,7 @@ def hyperelliptic_invariance(pp: PencilParams, pairing, place: UPoly) -> bool:
             pt = pt + num**i * den ** (p.degree - i) * p.coeff(i)
     if pt != p * (k * k):
         return False
-    rows = pp.b.as_upoly_in_x()  # B(x, x0) by powers of x; entries in Q[x0]
+    rows = pp.b.upoly_rows()  # B(x, x0) by powers of x; entries in Q[x0]
     bt_rows = {}
     for i in range(3):
         mono = num**i * den ** (2 - i)

@@ -1,4 +1,5 @@
-"""Ternary quadratic forms and small trivariate polynomial helpers."""
+"""Ternary quadratic forms, a cofactor determinant and the determinants of
+nets of quadrics."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 from .rat import rat, rat_str
 from .upoly import UPoly
-from .bpoly import BPoly
+from .bpoly import MPoly
 
 
 @dataclass(frozen=True)
@@ -26,15 +27,16 @@ class QuadForm3:
         return cls(m)
 
     @classmethod
-    def from_xy_quadratic(cls, b: BPoly, z2_coeff=0) -> "QuadForm3":
+    def from_xy_quadratic(cls, b: MPoly, z2_coeff=0) -> "QuadForm3":
         """Gram matrix of b(X, Y) + z2_coeff * Z^2 for homogeneous b of
         degree 2."""
-        if b and any(i + j != 2 for i, j in b.m):
+        c20, c11, c02 = b.coeff(2, 0), b.coeff(1, 1), b.coeff(0, 2)
+        if b != MPoly(2, {(2, 0): c20, (1, 1): c11, (0, 2): c02}):
             raise ValueError("not a homogeneous quadratic in (X, Y)")
         return cls.from_entries(
             [
-                [b.coeff(2, 0), b.coeff(1, 1) / 2, 0],
-                [b.coeff(1, 1) / 2, b.coeff(0, 2), 0],
+                [c20, c11 / 2, 0],
+                [c11 / 2, c02, 0],
                 [0, 0, rat(z2_coeff)],
             ]
         )
@@ -61,7 +63,7 @@ class QuadForm3:
 
 def det(rows):
     """Determinant of a square matrix by cofactor expansion along the first
-    row; the entries are Fractions, UPolys or TriPolys."""
+    row; the entries are Fractions, UPolys or MPolys."""
     if len(rows) == 1:
         return rows[0][0]
     acc = rows[0][0] - rows[0][0]
@@ -86,122 +88,21 @@ def det3_upoly(mats) -> UPoly:
     return det(entries)
 
 
-class TriPoly:
-    """Sparse homogeneous polynomials in three variables (a0, a1, a2)."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, entries=None):
-        m = {}
-        if entries:
-            for k, v in dict(entries).items():
-                v = rat(v)
-                if v != 0:
-                    m[tuple(int(e) for e in k)] = v
-        self.m = m
-
-    @classmethod
-    def var(cls, i: int) -> "TriPoly":
-        k = [0, 0, 0]
-        k[i] = 1
-        return cls({tuple(k): 1})
-
-    def __bool__(self):
-        return bool(self.m)
-
-    def __eq__(self, other):
-        if isinstance(other, TriPoly):
-            return self.m == other.m
-        if other == 0:
-            return not self.m
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.m.items()))
-
-    def __add__(self, other):
-        out = dict(self.m)
-        for k, v in other.m.items():
-            w = out.get(k, Fraction(0)) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        t = TriPoly()
-        t.m = out
-        return t
-
-    def __neg__(self):
-        t = TriPoly()
-        t.m = {k: -v for k, v in self.m.items()}
-        return t
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = rat(other)
-            t = TriPoly()
-            if q:
-                t.m = {k: v * q for k, v in self.m.items()}
-            return t
-        out = {}
-        for k1, a in self.m.items():
-            for k2, b in other.m.items():
-                k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                w = out.get(k, Fraction(0)) + a * b
-                if w:
-                    out[k] = w
-                else:
-                    out.pop(k, None)
-        t = TriPoly()
-        t.m = out
-        return t
-
-    __rmul__ = __mul__
-
-    def coeff(self, k) -> Fraction:
-        return self.m.get(tuple(k), Fraction(0))
-
-    def divide_by_var(self, i: int) -> "TriPoly":
-        out = {}
-        for k, v in self.m.items():
-            if k[i] == 0:
-                raise ValueError("not divisible by the variable")
-            k2 = list(k)
-            k2[i] -= 1
-            out[tuple(k2)] = v
-        t = TriPoly()
-        t.m = out
-        return t
-
-    def subs_values(self, vals):
-        acc = Fraction(0)
-        for (i, j, k), v in self.m.items():
-            acc += v * rat(vals[0]) ** i * rat(vals[1]) ** j * rat(vals[2]) ** k
-        return acc
-
-    def __repr__(self):
-        parts = [f"{rat_str(v)}*a0^{i}a1^{j}a2^{k}" for (i, j, k), v in sorted(self.m.items())]
-        return "TriPoly(" + (" + ".join(parts) or "0") + ")"
-
-
 def _net(mats):
-    """The matrix a0 M0 + a1 M1 + a2 M2 with TriPoly entries."""
-    a = [TriPoly.var(k) for k in range(3)]
+    """The matrix a0 M0 + a1 M1 + a2 M2 with MPoly entries in (a0, a1, a2)."""
+    a = [MPoly.var(k, 3) for k in range(3)]
     n = len(mats[0])
     return [
-        [sum((a[k] * mats[k][i][j] for k in range(3)), TriPoly()) for j in range(n)]
+        [sum((a[k] * mats[k][i][j] for k in range(3)), MPoly(3)) for j in range(n)]
         for i in range(n)
     ]
 
 
-def det_pencil3(q0: QuadForm3, q1: QuadForm3, q2: QuadForm3) -> TriPoly:
+def det_pencil3(q0: QuadForm3, q1: QuadForm3, q2: QuadForm3) -> MPoly:
     """det(a0 q0 + a1 q1 + a2 q2) as a homogeneous cubic in (a0, a1, a2)."""
     return det(_net((q0.m, q1.m, q2.m)))
 
 
-def det_pencil5(mats5) -> TriPoly:
+def det_pencil5(mats5) -> MPoly:
     """det(sum a_k M_k) for 5x5 symmetric rational matrices."""
     return det(_net(mats5))

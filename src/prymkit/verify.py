@@ -15,6 +15,7 @@ from functools import cached_property
 
 from .rat import Rat, rat, rat_str, sqrt_exact
 from .upoly import UPoly, bracket, convolve, discriminant, gcd, resultant, valuation
+from .bpoly import MPoly
 from .factorq import squarefree_places
 from .invariants import IgusaClebsch, igusa_clebsch_upoly, wp_equal, wp_scale_equal
 from . import genus2 as g2
@@ -49,6 +50,11 @@ class RunConfig:
     @cached_property
     def coeffs(self) -> g2.NormalFormCoeffs:
         return g2.normal_form_coeffs(self.cover, self.variant)
+
+    @cached_property
+    def base_frame(self) -> p3.PencilParams:
+        """The base-frame pencil of the configuration's variant."""
+        return p3.PencilParams.base_frame(self.cover, self.coeffs)
 
     @cached_property
     def richelot(self) -> g2.Genus2Curve:
@@ -204,7 +210,7 @@ def suite_fibers(cfg: RunConfig) -> Certificate:
     s.eq(
         "pencil discriminant ratio 2^-18",
         fams["pencil_jac"].disc_cubic() * Fraction(2**18),
-        cfg.pencil.delta_z(),
+        cfg.pencil.delta_z,
     )
     pb = fb.pullback_double_base(fams["shioda"])
     s.eq("base change squares onto the double-cover family (a2)", pb.a2, fams["kummer12"].a2)
@@ -220,8 +226,10 @@ def suite_identification(cfg: RunConfig) -> Certificate:
     cp = cfg.cover
     km = cfg.families["kummer12"]
     for variant in ("k15", "k23"):
-        coeffs = cfg.coeffs if variant == cfg.variant else g2.normal_form_coeffs(cp, variant)
-        base = p3.PencilParams.base_frame(cp, coeffs)
+        if variant == cfg.variant:
+            base = cfg.base_frame
+        else:
+            base = p3.PencilParams.base_frame(cp, g2.normal_form_coeffs(cp, variant))
         jac = fb.build_pencil_jac(base)
         sn = sqrt_exact(base.ip.norm)
         s.flag(f"norm is a rational square ({variant})", sn is not None)
@@ -265,13 +273,11 @@ def suite_pencil(cfg: RunConfig) -> Certificate:
         except ValueError:
             continue
     ok_r = ok_q = ok_dq = ok_de = True
+    x, y = MPoly.var(0, 2), MPoly.var(1, 2)
     for q in quartics:
         r, r1, qq = hm.hermite_polys(q)
-        from .bpoly import BPoly
-
-        x, y = BPoly.x(), BPoly.y()
-        pb, pb0 = BPoly.from_upoly(q.p, 0), BPoly.from_upoly(q.p, 1)
-        ok_r &= r * r + r1 * ((x - y) * (x - y)) - pb * pb0 == BPoly.zero()
+        pb, pb0 = MPoly.from_upoly(q.p, 0, 2), MPoly.from_upoly(q.p, 1, 2)
+        ok_r &= r * r + r1 * ((x - y) * (x - y)) - pb * pb0 == 0
         ok_q &= q.p * q.p.derivative().derivative() * Fraction(1, 3) - q.p.derivative() ** 2 * Fraction(1, 4) == qq
         e = hm.jacobian_of_quartic(q)
         ok_dq &= discriminant(qq) == e.g**2 * discriminant(q.p)
@@ -292,7 +298,7 @@ def suite_pencil(cfg: RunConfig) -> Certificate:
          g2.igusa_clebsch(ng3), g2.igusa_clebsch(cfg.richelot))
     s.wp("normalized reducible member matches the nodal model",
          g2.igusa_clebsch(ng3), g2.igusa_clebsch(p3.nodal_target(pp)))
-    octic_places = [f for f, _ in squarefree_places(pp.octic())]
+    octic_places = [f for f, _ in squarefree_places(pp.octic)]
     s.eq("number of one-node places", sum(f.degree for f in octic_places), 8)
     for f in octic_places:
         s.eq(
@@ -348,7 +354,8 @@ def suite_pencil(cfg: RunConfig) -> Certificate:
     # moduli-frame member equals the base-frame member
     for t in (1, Fraction(2, 3), 5):
         s.flag(
-            f"moduli member identity at t={t}", p3.member_frames_agree(cp, cfg.coeffs, t)
+            f"moduli member identity at t={t}",
+            p3.member_frames_agree(cfg.base_frame, cp, cfg.coeffs, t),
         )
 
     # the j-invariant bridge at the even member
@@ -382,7 +389,7 @@ def suite_genus5(cfg: RunConfig) -> Certificate:
     s.flag("rank-locus block factorization", True)
     s.eq(
         "rational point on the residual conic",
-        loc.residual_conic.subs_values((-2, 1, 1)),
+        loc.residual_conic(-2, 1, 1),
         Fraction(0),
     )
     pts = g5.rational_points8(qt)
@@ -395,7 +402,7 @@ def suite_genus5(cfg: RunConfig) -> Certificate:
     s.flag("sign involution is free on the smooth member t=1", free1)
     # fixed points appear over the one-node places: the V,W conics meet there
     res12 = _conic_resultant(pp)
-    octic = pp.octic()
+    octic = pp.octic
     ratio_num = res12 * octic.lead
     ratio_den = octic * res12.lead
     s.eq("conic intersection locus equals the one-node factor", ratio_num, ratio_den)
@@ -422,7 +429,10 @@ def suite_genus5(cfg: RunConfig) -> Certificate:
         )
     # moduli-frame quadrics
     for t in (1, Fraction(2, 3)):
-        s.flag(f"moduli quadrics identity at t={t}", g5.quadrics_frames_agree(cp, coeffs, t))
+        s.flag(
+            f"moduli quadrics identity at t={t}",
+            g5.quadrics_frames_agree(cfg.base_frame, cp, coeffs, t),
+        )
     e_val, f_val = g2.moduli_ef(coeffs)
     s.eq("split parameters multiply to c0/c2", e_val * f_val, coeffs.c0 / coeffs.c2)
     s.eq("split parameters sum to c1/c2", e_val + f_val, coeffs.c1 / coeffs.c2)
@@ -459,7 +469,7 @@ def _conic_resultant(pp: p3.PencilParams) -> UPoly:
 
     g, d = pp.ip.gamma, pp.ip.delta
     q1, q2 = pp.conic(g, g), pp.conic(d, d)
-    return resultant_upoly_coeffs(q1.as_upoly_in_x(), q2.as_upoly_in_x())
+    return resultant_upoly_coeffs(q1.upoly_rows(), q2.upoly_rows())
 
 
 def _divisible(a: UPoly, b: UPoly) -> bool:

@@ -24,3 +24,8 @@ def coeffs_k15(cover):
 @pytest.fixture(scope="session")
 def pencil(cover):
     return PencilParams.from_cover(cover, "k15")
+
+
+@pytest.fixture(scope="session")
+def base_k15(cover, coeffs_k15):
+    return PencilParams.base_frame(cover, coeffs_k15)

@@ -35,7 +35,7 @@ def test_zero_polynomial_rejected():
 
 
 def test_reference_discriminant_places(pencil):
-    dz = pencil.delta_z()
+    dz = pencil.delta_z
     places = squarefree_places(dz)
     linear = {tuple(f.to_json()) for f, m in places if f.degree == 1}
     assert linear == {("-4", "1"), ("-3", "1"), ("3", "1"), ("4", "1")}
@@ -89,7 +89,7 @@ def test_rational_roots_by_factorization():
 
 def test_big_coefficient_factorization(pencil):
     # degree-24 discriminant with ~40-digit coefficients
-    dz = pencil.delta_z()
+    dz = pencil.delta_z
     places = squarefree_places(dz)
     assert sum(f.degree * m for f, m in places) == 24
     assert _reassemble(dz, places) * dz.lead == dz

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from prymkit.upoly import UPoly, bracket, discriminant
-from prymkit.bpoly import BPoly
+from prymkit.bpoly import MPoly
 from prymkit.hermite import (
     EllipticW,
     QuarticGenus1,
@@ -59,17 +59,14 @@ def test_discriminant_preserved_on_random_quartics():
 
 def test_hermite_polys_identities():
     rng = random.Random(4)
-    xb, yb = BPoly.x(), BPoly.y()
+    xb, yb = MPoly.var(0, 2), MPoly.var(1, 2)
     for _ in range(50):
         q = _random_quartic(rng)
         r, r1, qq = hermite_polys(q)
         # R(x, x) recovers the quartic
-        diag = {}
-        for (i, j), v in r.m.items():
-            diag[i + j] = diag.get(i + j, Fraction(0)) + v
-        assert UPoly([diag.get(k, 0) for k in range(5)]) == q.p
+        assert r.to_upoly() == q.p
         # the factorization identity holds exactly
-        pb, pb0 = BPoly.from_upoly(q.p, 0), BPoly.from_upoly(q.p, 1)
+        pb, pb0 = MPoly.from_upoly(q.p, 0, 2), MPoly.from_upoly(q.p, 1, 2)
         assert r * r + r1 * ((xb - yb) * (xb - yb)) == pb * pb0
         # closed form of the companion quartic
         assert qq == q.p * q.p.derivative().derivative() * Fraction(1, 3) - \
@@ -120,10 +117,10 @@ def test_correspondence_biquadratic():
     q = QuarticGenus1(UPoly.from_roots([1, 9, 2, 8]))
     x0 = Fraction(0)
     cor = correspondence(q, x0)
-    assert cor.deg_x() == 2 and cor.deg_y() == 2
+    assert cor.deg(0) == 2 and cor.deg(1) == 2
     # at x = x0 it reduces to -4 (xi P(x0) + Q(x0))
     _, _, qq = hermite_polys(q)
-    assert cor.eval_y(x0) == UPoly((-4 * qq(x0), -4 * q.p(x0)))
+    assert cor.subs(1, x0).to_upoly() == UPoly((-4 * qq(x0), -4 * q.p(x0)))
     # matched point pairs annihilate it
     from prymkit.rat import sqrt_exact
 
@@ -134,7 +131,7 @@ def test_correspondence_biquadratic():
         if w is None or xv == 0:
             continue
         img = abel_jacobi(q, (x0, Fraction(12)), (Fraction(xv), w))
-        assert cor.eval(img[0], Fraction(xv)) == 0
+        assert cor(img[0], Fraction(xv)) == 0
         count += 1
     assert count >= 5
 
@@ -154,8 +151,8 @@ def test_correspondence_roots_are_the_two_sheets():
         plus = abel_jacobi(q, base, (Fraction(xv), w))
         minus = abel_jacobi(q, base, (Fraction(xv), -w))
         dx2 = (Fraction(xv) - x0) ** 2
-        assert plus[0] + minus[0] == 4 * r.eval(Fraction(xv), x0) / dx2
-        assert plus[0] * minus[0] == -4 * r1.eval(Fraction(xv), x0) / dx2
+        assert plus[0] + minus[0] == 4 * r(Fraction(xv), x0) / dx2
+        assert plus[0] * minus[0] == -4 * r1(Fraction(xv), x0) / dx2
 
 
 # Jacobian of (x^2-9)(x^2-16): rich in small rational points

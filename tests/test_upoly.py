@@ -14,7 +14,7 @@ from prymkit.upoly import (
     resultant_upoly_coeffs,
     valuation,
 )
-from prymkit.bpoly import BPoly
+from prymkit.bpoly import MPoly
 
 x = UPoly.x()
 
@@ -227,30 +227,97 @@ def test_serialization_roundtrip():
     assert p.to_json() == ["-3/7", "0", "5"]
 
 
-# -- bivariate pieces ------------------------------------------------------------
+# -- sparse multivariate polynomials -----------------------------------------------
 
 
 def test_bpoly_exact_divide_examples():
-    xb, yb = BPoly.x(), BPoly.y()
+    xb, yb = MPoly.var(0, 2), MPoly.var(1, 2)
     num = xb * xb - yb * yb
     assert num.exact_divide(xb - yb) == xb + yb
     with pytest.raises(ValueError) as err:
-        (xb * xb + BPoly.const(1)).exact_divide(xb - yb)
+        (xb * xb + MPoly.const(1, 2)).exact_divide(xb - yb)
     assert "remainder" in str(err.value)
 
 
 def test_bpoly_symmetry_and_eval():
-    xb, yb = BPoly.x(), BPoly.y()
-    b = xb * yb * 3 + (xb + yb) * 2 + BPoly.const(7)
-    assert b.is_symmetric()
-    assert b.eval(2, 5) == 3 * 10 + 2 * 7 + 7
-    assert b.eval_x(2) == UPoly((11, 8))
+    xb, yb = MPoly.var(0, 2), MPoly.var(1, 2)
+    b = xb * yb * 3 + (xb + yb) * 2 + MPoly.const(7, 2)
+    assert b.permute((1, 0)) == b
+    assert b(2, 5) == 3 * 10 + 2 * 7 + 7
+    assert b.subs(0, 2).to_upoly() == UPoly((11, 8))
 
 
 def test_bpoly_scaled_subs_parity():
-    xb, yb = BPoly.x(), BPoly.y()
-    even = xb * xb * 5 + xb * yb - BPoly.const(2)
+    xb, yb = MPoly.var(0, 2), MPoly.var(1, 2)
+    even = xb * xb * 5 + xb * yb - MPoly.const(2, 2)
     scaled = even.scaled_subs(Fraction(12))
     assert scaled.coeff(2, 0) == 60 and scaled.coeff(1, 1) == 12
     with pytest.raises(ValueError):
         (xb + yb).scaled_subs(Fraction(12))
+
+
+def _random_mpoly(rng, n, terms, max_deg=3):
+    return MPoly(n, {tuple(rng.randint(0, max_deg) for _ in range(n)):
+                     Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(terms)})
+
+
+def _sym_mpoly(p, gens):
+    sympy = pytest.importorskip("sympy")
+    out = sympy.Integer(0)
+    for *k, v in p.to_json():
+        mono = sympy.Rational(v)
+        for g, e in zip(gens, k):
+            mono *= g**e
+        out += mono
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mpoly_product_and_division_match_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(f"x0:{n}")
+    rng = random.Random(30 + n)
+    exact = inexact = 0
+    for _ in range(40):
+        a = _random_mpoly(rng, n, rng.randint(1, 5))
+        b = _random_mpoly(rng, n, rng.randint(2, 4))  # at most one term may cancel
+        if not b:
+            continue
+        ab = a * b
+        assert sympy.expand(_sym_mpoly(ab, gens) - _sym_mpoly(a, gens) * _sym_mpoly(b, gens)) == 0
+        # exact: the quotient is sympy's, and a itself
+        q, r = sympy.div(_sym_mpoly(ab, gens), _sym_mpoly(b, gens), *gens)
+        assert r == 0
+        got = ab.exact_divide(b)
+        assert got == a and sympy.expand(_sym_mpoly(got, gens) - q) == 0
+        exact += 1
+        # perturbed: exact_divide raises exactly when sympy leaves a remainder
+        c = ab + _random_mpoly(rng, n, 1)
+        q, r = sympy.div(_sym_mpoly(c, gens), _sym_mpoly(b, gens), *gens)
+        if r == 0:
+            assert sympy.expand(_sym_mpoly(c.exact_divide(b), gens) - q) == 0
+        else:
+            with pytest.raises(ValueError, match="remainder"):
+                c.exact_divide(b)
+            inexact += 1
+    assert exact >= 30 and inexact >= 15
+
+
+def test_mpoly_calculus_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x0:3")
+    rng = random.Random(33)
+    for _ in range(20):
+        p = _random_mpoly(rng, 3, rng.randint(1, 6))
+        ps = _sym_mpoly(p, gens)
+        vals = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)]
+        assert p(*vals) == _as_fraction(ps.subs(dict(zip(gens, vals))))
+        for i in range(3):
+            assert sympy.expand(_sym_mpoly(p.deriv(i), gens) - sympy.diff(ps, gens[i])) == 0
+            sub = ps.subs(gens[i], vals[i])
+            assert sympy.expand(_sym_mpoly(p.subs(i, vals[i]), gens) - sub) == 0
+        swapped = ps.subs({gens[0]: gens[2], gens[2]: gens[0]}, simultaneous=True)
+        assert sympy.expand(_sym_mpoly(p.permute((2, 1, 0)), gens) - swapped) == 0
+        t = sympy.Symbol("t")
+        diag = sympy.Poly(ps.subs({g: t for g in gens}), t)
+        assert p.to_upoly() == UPoly(list(reversed([_as_fraction(c) for c in diag.all_coeffs()])))
