@@ -5,7 +5,7 @@ the explicit isogenous normal forms attached to a square-split modulus.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rat import Rat, rat, sqrt_exact
@@ -133,15 +133,19 @@ class RosenhainPoint:
 
 @dataclass(frozen=True)
 class Genus2Curve:
-    """eta^2 = f(xi) with f squarefree of degree 5 or 6."""
+    """eta^2 = f(xi) with f squarefree of degree 5 or 6; disc is
+    discriminant(f), kept for I10."""
 
     f: UPoly
+    disc: Rat = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.f.degree not in (5, 6):
             raise ValueError("curve polynomial must have degree 5 or 6")
-        if discriminant(self.f) == 0:
+        disc = discriminant(self.f)
+        if disc == 0:
             raise ValueError("curve is singular (repeated root)")
+        object.__setattr__(self, "disc", disc)
 
     def to_json(self):
         return self.f.to_json()
@@ -194,7 +198,7 @@ class CoverPoint:
 
 
 def igusa_clebsch(c: Genus2Curve) -> IgusaClebsch:
-    return _ic_sextic(list(c.f.c) + [0] * (7 - len(c.f.c)))
+    return _ic_sextic(c.f.c, c.disc)
 
 
 # -- Richelot construction ---------------------------------------------------------

@@ -6,75 +6,83 @@ form with itself and normalized so that, for a split sextic
 lc * prod (x - r_i), they agree with the classical symmetric-function
 expressions in the root differences; I10 is the discriminant.
 
-The transvectant core is generic over the coefficient ring, so the same
-code yields invariants with polynomial coefficients when the sextic's
-coefficients live in Q[t].
+The transvectants run over Z: a rational sextic f = F/D is scaled to the
+integer form F once, and I_k(f) = I_k(F)/D^k.  A sextic with coefficients
+in Q[t] is evaluated at integer nodes, and each invariant is interpolated
+from its values there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .rat import Rat, rat, rat_str
-from .upoly import UPoly, convolve, resultant, resultant_upoly_coeffs
+from .upoly import (
+    UPoly,
+    _int_horner,
+    _int_interpolate,
+    _int_rows,
+    _int_scaled,
+    discriminant,
+    resultant_upoly_coeffs,
+)
 
 
-def _deriv_x(form, order):
-    # d/dX of sum a_i X^i Y^(order-i): coefficient i of result = (i+1) a_{i+1}
-    return [form[i + 1] * (i + 1) for i in range(order)]
-
-
-def _deriv_y(form, order):
-    return [form[i] * (order - i) for i in range(order)]
+def _partial(f, m: int, a: int, b: int):
+    """d^a/dx^a d^b/dy^b of the form sum f_j x^j y^(m-j), in one pass."""
+    return [f[j + a] * perm(j + a, a) * perm(m - j - a, b) for j in range(m - a - b + 1)]
 
 
 def transvectant(f, g, m: int, n: int, r: int):
-    """r-th transvectant of binary forms of orders m and n (coefficient lists
-    ascending in x); returns a coefficient list of order m + n - 2r."""
+    """r-th transvectant of binary forms of orders m and n, given as int
+    coefficient lists ascending in x, without its normalizing factor
+    (m-r)!(n-r)!/(m!n!): the int coefficient list, of order m + n - 2r, of
+
+        sum_k (-1)^k C(r, k) d^r f/dx^(r-k) dy^k * d^r g/dx^k dy^(r-k).
+    """
     if r > m or r > n:
         raise ValueError("transvectant order exceeds form orders")
-    total = None
+    total = [0] * (m + n - 2 * r + 1)
     for k in range(r + 1):
-        df = list(f)
-        om = m
-        for _ in range(r - k):
-            df = _deriv_x(df, om)
-            om -= 1
-        for _ in range(k):
-            df = _deriv_y(df, om)
-            om -= 1
-        dg = list(g)
-        on = n
-        for _ in range(k):
-            dg = _deriv_x(dg, on)
-            on -= 1
-        for _ in range(r - k):
-            dg = _deriv_y(dg, on)
-            on -= 1
-        term = convolve(df, dg)
-        sgn = (-1) ** k * comb(r, k)
-        term = [t * sgn for t in term]
-        if total is None:
-            total = term
-        else:
-            total = [a + b for a, b in zip(total, term)]
-    pref = Fraction(factorial(m - r) * factorial(n - r), factorial(m) * factorial(n))
-    return [t * pref for t in total]
+        dg = _partial(g, n, k, r - k)
+        w = -comb(r, k) if k % 2 else comb(r, k)
+        for i, x in enumerate(_partial(f, m, r - k, k)):
+            if x:
+                x *= w
+                for j, y in enumerate(dg):
+                    total[i + j] += x * y
+    return total
 
 
-def clebsch_abc(coeffs):
-    """Clebsch invariants (A, B, C) of a binary sextic, generic coefficients."""
-    f = list(coeffs)
-    if len(f) != 7:
-        raise ValueError("need 7 coefficients (a0..a6)")
-    i4 = transvectant(f, f, 6, 6, 4)
-    a = transvectant(f, f, 6, 6, 6)[0]
-    b = transvectant(i4, i4, 4, 4, 4)[0]
-    d4 = transvectant(i4, i4, 4, 4, 2)
-    c = transvectant(i4, d4, 4, 4, 4)[0]
-    return a, b, c
+def _norm(m: int, n: int, r: int) -> Fraction:
+    """The normalizing factor of the r-th transvectant of orders m and n."""
+    return Fraction(factorial(m - r) * factorial(n - r), factorial(m) * factorial(n))
+
+
+# the factors of the unnormalized transvectants, collected into A, B and C
+_N4 = _norm(6, 6, 4)
+_KA = _norm(6, 6, 6)
+_KB = _norm(4, 4, 4) * _N4**2
+_KC = _norm(4, 4, 4) * _norm(4, 4, 2) * _N4**3
+
+
+def _i246(f):
+    """(I2, I4, I6) of the binary sextic with int coefficients f = [a0..a6],
+    from the Clebsch invariants A = (f,f)_6, B = (i,i)_4 and C = (i,(i,i)_2)_4
+    with i = (f,f)_4.  The transvectants are unnormalized, so their factors
+    are collected into A, B and C once."""
+    u = transvectant(f, f, 6, 6, 4)  # i = _N4 u
+    v = transvectant(u, u, 4, 4, 2)  # (i,i)_2 = _norm(4, 4, 2) _N4^2 v
+    a = _KA * transvectant(f, f, 6, 6, 6)[0]
+    b = _KB * transvectant(u, u, 4, 4, 4)[0]
+    c = _KC * transvectant(u, v, 4, 4, 4)[0]
+    return (
+        -120 * a,
+        -720 * a**2 + 6750 * b,
+        8640 * a**3 - 108000 * a * b + 202500 * c,
+    )
 
 
 @dataclass(frozen=True)
@@ -102,55 +110,63 @@ class IgusaClebsch:
         return cls(rat(d["I2"]), rat(d["I4"]), rat(d["I6"]), rat(d["I10"]))
 
 
-def _disc_sextic_rational(coeffs):
-    """Discriminant of the binary sextic with rational coefficients.
+def _disc_sextic_rational(p: UPoly, disc=None):
+    """Discriminant of p read as a binary sextic; disc, when given, is
+    discriminant(p).
 
     For a degree-5 polynomial (a6 = 0) the extra root at infinity is simple
     and the binary discriminant equals disc(quintic) * lead(quintic)^2.
     Lower actual degree means a repeated root at infinity: discriminant 0.
     """
-    p = UPoly(coeffs)
     d = p.degree
     if d <= 4:
         return Fraction(0)
-    r = resultant(p, p.derivative())
-    if d == 6:
-        return -r / p.lead
-    return (r / p.lead) * p.lead**2
+    if disc is None:
+        disc = discriminant(p)
+    return disc if d == 6 else disc * p.lead**2
 
 
-def igusa_clebsch(coeffs) -> IgusaClebsch:
-    """Invariants of a binary sextic with rational coefficients."""
+def igusa_clebsch(coeffs, disc=None) -> IgusaClebsch:
+    """Invariants of a binary sextic with rational coefficients [a0..a6]; a
+    shorter list is padded with zeros.  disc, when given, is the
+    discriminant of the polynomial of coeffs, which gives I10."""
     cs = [rat(c) for c in coeffs]
-    if len(cs) < 7:
-        cs = cs + [Fraction(0)] * (7 - len(cs))
-    a, b, c = clebsch_abc(cs)
+    if len(cs) > 7:
+        raise ValueError("need at most 7 coefficients (a0..a6)")
+    cs += [Fraction(0)] * (7 - len(cs))
+    den, ints = _int_scaled(cs)
+    i2, i4, i6 = _i246(ints)
     return IgusaClebsch(
-        -120 * a,
-        -720 * a**2 + 6750 * b,
-        8640 * a**3 - 108000 * a * b + 202500 * c,
-        _disc_sextic_rational(cs),
+        i2 / den**2, i4 / den**4, i6 / den**6, _disc_sextic_rational(UPoly(cs), disc)
     )
 
 
 def igusa_clebsch_upoly(coeffs):
-    """Invariants of a sextic whose coefficients are UPoly in a parameter.
+    """Invariants of a sextic whose coefficients are UPoly in a parameter t.
 
     Returns (I2, I4, I6, I10) as UPoly; requires actual degree 6 in x.
+    I_k has degree at most k h in t, h the largest degree of a coefficient,
+    so the integer copy F = D f is evaluated at t = 0..6h, I_k(F) is taken
+    at the first k h + 1 nodes and interpolated there, and the division by
+    D^k is made once.  I10 comes from the resultant of f and f_x over Q[t].
     """
     cs = [c if isinstance(c, UPoly) else UPoly.const(c) for c in coeffs]
     if len(cs) < 7:
         cs = cs + [UPoly()] * (7 - len(cs))
     if not cs[6]:
         raise ValueError("leading coefficient vanishes identically")
-    a, b, c = clebsch_abc(cs)
-    i2 = a * -120
-    i4 = a * a * -720 + b * 6750
-    i6 = a * a * a * 8640 + a * b * -108000 + c * 202500
+    h = max(c.degree for c in cs)
+    den, rows = _int_rows(cs)
+    nodes = [_i246([_int_horner(r, t) for r in rows]) for t in range(6 * h + 1)]
+    out = []
+    for k, w in enumerate((2, 4, 6)):
+        values = [node[k] for node in nodes[: w * h + 1]]
+        vden, ints = _int_scaled(values)
+        acc, scale = _int_interpolate(ints)
+        out.append(UPoly([Fraction(v, scale * vden * den**w) for v in acc]))
     dcs = [cs[i + 1] * (i + 1) for i in range(6)]
-    res = resultant_upoly_coeffs(cs, dcs)
-    i10 = -res.exact_div(cs[6])
-    return i2, i4, i6, i10
+    i10 = -resultant_upoly_coeffs(cs, dcs).exact_div(cs[6])
+    return (*out, i10)
 
 
 # -- weighted projective comparisons ----------------------------------------

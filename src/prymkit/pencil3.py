@@ -123,15 +123,6 @@ class PlaneQuartic:
             + self.c4(xv, yv)
         )
 
-    def to_json(self):
-        from .rat import rat_str
-
-        return {
-            "a0": rat_str(self.a0),
-            "b2": self.b2.to_json(),
-            "c4": self.c4.to_json(),
-        }
-
 
 def _homogenize(p: UPoly, deg: int) -> MPoly:
     if p.degree > deg:

@@ -293,11 +293,11 @@ def suite_pencil(cfg: RunConfig) -> Certificate:
     for t in (3, -3, 4, -4):
         mc = p3.classify_member(pp, t)
         s.eq(f"member at t={t}", mc.kind, "ReducibleLinePlusGenus2")
-    ng3 = p3.node_genus2(pp, 3)
+    ic_ng3 = g2.igusa_clebsch(p3.node_genus2(pp, 3))
     s.wp("normalized reducible member matches the quotient curve",
-         g2.igusa_clebsch(ng3), g2.igusa_clebsch(cfg.richelot))
+         ic_ng3, g2.igusa_clebsch(cfg.richelot))
     s.wp("normalized reducible member matches the nodal model",
-         g2.igusa_clebsch(ng3), g2.igusa_clebsch(p3.nodal_target(pp)))
+         ic_ng3, g2.igusa_clebsch(p3.nodal_target(pp)))
     octic_places = [f for f, _ in squarefree_places(pp.octic)]
     s.eq("number of one-node places", sum(f.degree for f in octic_places), 8)
     for f in octic_places:
@@ -406,19 +406,14 @@ def suite_genus5(cfg: RunConfig) -> Certificate:
     ratio_num = res12 * octic.lead
     ratio_den = octic * res12.lead
     s.eq("conic intersection locus equals the one-node factor", ratio_num, ratio_den)
-    pr = g5.prym_genus2(qt)
-    nodal = p3.nodal_target(pp)
-    s.wp("associated genus-2 curve matches the nodal model", g2.igusa_clebsch(pr), g2.igusa_clebsch(nodal))
+    ic_pr = g2.igusa_clebsch(g5.prym_genus2(qt))
+    ic_nodal = g2.igusa_clebsch(p3.nodal_target(pp))
+    s.wp("associated genus-2 curve matches the nodal model", ic_pr, ic_nodal)
     r16 = 16 * (pp.ip.gamma - pp.ip.delta) * pp.p(Fraction(1)) ** 2
-    s.wp_scale(
-        "associated genus-2 scale factor 16 (gamma-delta) P(x0)^2",
-        g2.igusa_clebsch(pr),
-        g2.igusa_clebsch(nodal),
-        r16,
-    )
+    s.wp_scale("associated genus-2 scale factor 16 (gamma-delta) P(x0)^2", ic_pr, ic_nodal, r16)
     nf, _ = g2.isogenous_normal_form(cp, cfg.variant)
     s.wp("associated genus-2 curve matches the isogenous normal form",
-         g2.igusa_clebsch(pr), g2.igusa_clebsch(nf))
+         ic_pr, g2.igusa_clebsch(nf))
     pdual = cfg.families["pencil_dual"]
     for t in (1, 5, Fraction(7, 3), Fraction(1, 2), -2):
         a2v, a4v, _ = pdual.fiber(t)

@@ -1,10 +1,15 @@
 """The benchmark's tracer rebinds library functions by name; every name it
-targets must exist, or the traced benchmark run fails."""
+targets must exist, or the traced benchmark run fails.  The benchmark's
+curve op must also pass the benchmark's own checks, or the run fails."""
 
+import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -15,3 +20,41 @@ def test_tracer_targets_install():
     out = subprocess.run([sys.executable, "-c", "from tracer import Tracer; Tracer().install()"],
                          env=env, capture_output=True, text=True, cwd=ROOT)
     assert out.returncode == 0, out.stderr
+
+
+def test_curve_op_passes_the_benchmark_checks(monkeypatch):
+    """The curve_invariants op, run by the benchmark's worker on a few corpus
+    pairs, passes the benchmark's own output checks; so do the covariance
+    checks, called as the benchmark calls them."""
+    pytest.importorskip("sympy")
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import checks
+    import corpus
+
+    from prymkit.invariants import igusa_clebsch
+
+    pairs = corpus.curve_pairs(random.Random("tier-1"), 5, set())
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")]))
+    out = subprocess.run([sys.executable, str(ROOT / "perfbench" / "opworker.py")],
+                         input=json.dumps({"pairs": pairs}) + "\n", env=env,
+                         capture_output=True, text=True, cwd=ROOT, timeout=120)
+    assert out.returncode == 0, out.stderr
+    results = json.loads(out.stdout.splitlines()[-1])["results"]
+    assert len(results) == len(pairs)
+    for pair, res in zip(pairs, results):
+        assert checks.curve_op_problems(pair, res) == []
+        # I_k(lam f) = lam^k I_k(f), on a scaled int list
+        scaled = igusa_clebsch([-3 * v for v in pair["f"]]).as_tuple()
+        assert checks.scaling_problems(pair["f"], res["a"], -3, scaled) == []
+        moved = igusa_clebsch(corpus.mobius(pair["g"], 2, 1, -1, 1, 1)).as_tuple()
+        assert checks.moebius_problems(pair["g"], res["b"], (2, 1, -1, 1), moved) == []
+
+    # a form with the double root x = 1, moved so that the root goes to
+    # infinity: the image has degree 4, and both have I10 = 0
+    f = [3, -5, 3, -2, 1, -1, 1]  # (x - 1)^2 (x^4 + x^3 + 2 x^2 + x + 3)
+    m = (1, 0, 1, 1)
+    image = corpus.mobius(f, *m, 1)
+    assert len(image) - 1 == 4
+    inv_f = igusa_clebsch(f).as_tuple()
+    assert inv_f[3] == 0
+    assert checks.moebius_problems(f, inv_f, m, igusa_clebsch(image).as_tuple()) == []

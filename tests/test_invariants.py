@@ -3,7 +3,9 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from prymkit.upoly import UPoly
@@ -241,3 +243,124 @@ def test_parametric_invariants_match_specialization(pencil):
     for t in (Fraction(1), Fraction(5), Fraction(-1, 2)):
         spec = igusa_clebsch([c(t) for c in sext])
         assert (i2(t), i4(t), i6(t), i10(t)) == spec.as_tuple()
+
+
+# -- sympy oracles: transvectants from their definition -----------------------------
+
+
+def _sym_rat(c):
+    sympy = pytest.importorskip("sympy")
+    c = Fraction(c)
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def _sym_poly(p, t):
+    return sum(_sym_rat(a) * t**i for i, a in enumerate(p.c))
+
+
+def _sym_form(coeffs, m, gens):
+    """The binary form sum c_i x^i y^(m-i) as a sympy Poly in gens = (x, y, ...)."""
+    sympy = pytest.importorskip("sympy")
+    x, y = gens[:2]
+    return sympy.Poly(sum(c * x**i * y ** (m - i) for i, c in enumerate(coeffs)), *gens, domain="QQ")
+
+
+def _sym_transvectant(f, g, r, x, y):
+    """sum_k (-1)^k C(r, k) d^r f/dx^(r-k) dy^k * d^r g/dx^k dy^(r-k)."""
+    sympy = pytest.importorskip("sympy")
+    total = f * 0
+    for k in range(r + 1):
+        total += (-1) ** k * int(sympy.binomial(r, k)) * f.diff((x, r - k), (y, k)) * g.diff((x, k), (y, r - k))
+    return total
+
+
+def _sym_ic246(f, x, y):
+    """(I2, I4, I6) of the sextic form f from normalized sympy transvectants,
+    as expressions."""
+    sympy = pytest.importorskip("sympy")
+
+    def tv(a, b, m, n, r):
+        norm = sympy.Rational(factorial(m - r) * factorial(n - r), factorial(m) * factorial(n))
+        return _sym_transvectant(a, b, r, x, y) * norm
+
+    i = tv(f, f, 6, 6, 4)
+    a = tv(f, f, 6, 6, 6)
+    b = tv(i, i, 4, 4, 4)
+    c = tv(i, tv(i, i, 4, 4, 2), 4, 4, 4)
+    return [e.as_expr() for e in (a * -120, a**2 * -720 + b * 6750,
+                                  a**3 * 8640 + a * b * -108000 + c * 202500)]
+
+
+def _as_fraction(v):
+    return Fraction(int(v.p), int(v.q))
+
+
+def test_transvectant_matches_the_definition():
+    sympy = pytest.importorskip("sympy")
+    from prymkit.invariants import transvectant
+
+    x, y = sympy.symbols("x y")
+    rng = random.Random(23)
+    for m in (6, 4):
+        f = [rng.randint(-30, 30) for _ in range(m + 1)]
+        g = [rng.randint(-30, 30) for _ in range(m + 1)]
+        for r in range(m + 1):
+            for a, b in ((f, f), (f, g)):
+                got = transvectant(a, b, m, m, r)
+                assert all(type(v) is int for v in got)
+                want = _sym_transvectant(_sym_form(a, m, (x, y)), _sym_form(b, m, (x, y)), r, x, y)
+                order = 2 * m - 2 * r
+                assert got == [want.coeff_monomial(x**i * y ** (order - i)) for i in range(order + 1)]
+
+
+def _binary_discriminant(f, x):
+    """Discriminant of the polynomial f (coefficients ascending) read as a
+    binary sextic, by sympy."""
+    sympy = pytest.importorskip("sympy")
+    p = sympy.Poly([_sym_rat(c) for c in reversed(f)], x)
+    d = p.degree()
+    if d <= 4:
+        return sympy.Integer(0)
+    disc = sympy.discriminant(p)
+    return disc if d == 6 else disc * p.LC() ** 2
+
+
+def test_igusa_clebsch_matches_sympy_transvectants():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    rng = random.Random(31)
+    for deg in range(7):
+        for _ in range(2):
+            f = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)]
+            f.append(Fraction(rng.choice((-7, -3, -1, 1, 2, 5)), rng.randint(1, 6)))
+            got = igusa_clebsch(f).as_tuple()
+            want = _sym_ic246(_sym_form([_sym_rat(c) for c in f], 6, (x, y)), x, y)
+            want.append(_binary_discriminant(f, x))
+            assert got == tuple(_as_fraction(v) for v in want), f
+
+
+def test_igusa_clebsch_upoly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, y, t = sympy.symbols("x y t")
+    rng = random.Random(37)
+
+    def row(d):
+        return UPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)]
+                     + [Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))])
+
+    sextics = [
+        # rows of unequal t-degree
+        [row(rng.randint(0, 2)) for _ in range(6)] + [row(1)],
+        # h = 0: constant rows
+        [row(0) for _ in range(7)],
+        # the leading coefficient (t - 2)(t + 1) vanishes at the node t = 2
+        [UPoly([0, 1])] + [row(rng.randint(0, 1)) for _ in range(5)] + [UPoly([-2, -1, 1])],
+    ]
+    for cs in sextics:
+        got = igusa_clebsch_upoly(cs)
+        form = _sym_form([_sym_poly(c, t) for c in cs], 6, (x, y, t))
+        want = _sym_ic246(form, x, y)
+        want.append(sympy.discriminant(form.as_expr().subs(y, 1), x))
+        for g, w in zip(got, want):
+            coeffs = [_as_fraction(v) for v in reversed(sympy.Poly(w, t).all_coeffs())]
+            assert list(g.c) == (coeffs if any(coeffs) else []), cs
