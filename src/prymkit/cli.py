@@ -8,7 +8,7 @@ import json
 import sys
 
 from .rat import rat, rat_str
-from .upoly import UPoly, discriminant
+from .upoly import UPoly
 from .jsonio import dumps
 from . import genus2 as g2
 from . import pencil3 as p3
@@ -120,9 +120,11 @@ def cmd_invariants(args, out) -> int:
     f = UPoly(coeffs)
     if f.degree not in (5, 6):
         raise ValueError("curve polynomial must have degree 5 or 6")
-    if discriminant(f) == 0:
-        raise ValueError("curve polynomial is not squarefree")
-    curve = g2.Genus2Curve(f)
+    try:
+        curve = g2.Genus2Curve(f)
+    except ValueError as exc:
+        # of degree 5 or 6, the curve is rejected only for a repeated root
+        raise ValueError("curve polynomial is not squarefree") from exc
     _emit(out, {"curve": f.to_json(), "igusa_clebsch": g2.igusa_clebsch(curve).to_json()})
     return EXIT_OK
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .rat import Rat, rat, sqrt_exact
 from .upoly import UPoly, gcd, inv_mod, valuation
@@ -35,7 +36,7 @@ class WeierstrassFamily:
         for i, a in ((2, self.a2), (4, self.a4), (6, self.a6)):
             if a.degree > i * self.d:
                 raise ValueError(f"deg a{i} exceeds the weight bound {i * self.d}")
-        if not self.delta():
+        if not self.delta:
             raise ValueError("identically singular family")
 
     def c4(self) -> UPoly:
@@ -44,15 +45,14 @@ class WeierstrassFamily:
     def c6(self) -> UPoly:
         return self.a2**3 * -64 + self.a2 * self.a4 * 288 - self.a6 * 864
 
+    @cached_property
     def delta(self) -> UPoly:
-        return self.disc_cubic() * 16
-
-    def disc_cubic(self) -> UPoly:
-        """Discriminant of the defining cubic in x (equals delta()/16)."""
+        """Delta = 16 times the discriminant of the defining cubic in x; built
+        once per family."""
         a2, a4, a6 = self.a2, self.a4, self.a6
-        return -(
+        return (
             a2**3 * a6 * 4 - a2 * a2 * a4 * a4 - a2 * a4 * a6 * 18 + a4**3 * 4 + a6 * a6 * 27
-        )
+        ) * -16
 
     def fiber(self, t):
         t = rat(t)
@@ -133,7 +133,7 @@ def _kodaira_from_valuations(vc4, vc6, vdelta) -> str:
 
 def classify_fibers(w: WeierstrassFamily):
     """Fiber reports at every place of bad reduction, including infinity."""
-    delta = w.delta()
+    delta = w.delta
     c4, c6 = w.c4(), w.c6()
     reports = []
     for place, mult in squarefree_places(delta):
@@ -143,7 +143,7 @@ def classify_fibers(w: WeierstrassFamily):
         kind = _kodaira_from_valuations(min(vc4, 1 << 20), min(vc6, 1 << 20), vd)
         reports.append(FiberReport(place, kind, vd, place.degree, w.var))
     flip = w.flip()
-    dflip = flip.delta()
+    dflip = flip.delta
     s = UPoly.x()
     vd = valuation(dflip, s)
     if vd > 0:

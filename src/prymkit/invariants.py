@@ -21,6 +21,7 @@ from math import comb, factorial, perm
 from .rat import Rat, rat, rat_str
 from .upoly import (
     UPoly,
+    _from_ints,
     _int_horner,
     _int_interpolate,
     _int_rows,
@@ -163,7 +164,7 @@ def igusa_clebsch_upoly(coeffs):
         values = [node[k] for node in nodes[: w * h + 1]]
         vden, ints = _int_scaled(values)
         acc, scale = _int_interpolate(ints)
-        out.append(UPoly([Fraction(v, scale * vden * den**w) for v in acc]))
+        out.append(_from_ints(acc, scale * vden * den**w))
     dcs = [cs[i + 1] * (i + 1) for i in range(6)]
     i10 = -resultant_upoly_coeffs(cs, dcs).exact_div(cs[6])
     return (*out, i10)

@@ -1,7 +1,12 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-Coefficients are stored ascending by degree with trailing zeros trimmed.
-The zero polynomial has degree -1 (sentinel).
+A UPoly is stored as integer numerators over one denominator: n is the
+tuple of ascending int coefficients with trailing zeros trimmed, and d > 0
+is an int with gcd(d, content(n)) = 1 (von zur Gathen & Gerhard, *Modern
+Computer Algebra*, section 6.2).  The form is canonical, so equal
+polynomials have equal (n, d).  The zero polynomial is n = (), d = 1, and
+has degree -1 (sentinel).  Every ring operation runs on ints; ``c`` is a
+read-only view of the coefficients as Fractions, built on first use.
 """
 
 from __future__ import annotations
@@ -13,13 +18,26 @@ from .rat import rat, rat_str
 
 
 class UPoly:
-    __slots__ = ("c",)
+    __slots__ = ("n", "d", "_c")
 
     def __init__(self, coeffs=()):
-        c = [rat(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.c = tuple(c)
+        cs = [a if isinstance(a, (int, Fraction)) else rat(a) for a in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        # the lcm of reduced denominators leaves no common factor with the
+        # scaled numerators, so this form is already canonical
+        d = lcm(*(a.denominator for a in cs))
+        self.n = tuple(a.numerator * (d // a.denominator) for a in cs)
+        self.d = d
+        self._c = None
+
+    @property
+    def c(self) -> tuple:
+        """The coefficients as Fractions, ascending."""
+        if self._c is None:
+            d = self.d
+            self._c = tuple(Fraction(v, d) for v in self.n)
+        return self._c
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -28,7 +46,7 @@ class UPoly:
 
     @classmethod
     def one(cls) -> "UPoly":
-        return cls((1,))
+        return _from_ints([1])
 
     @classmethod
     def const(cls, a) -> "UPoly":
@@ -36,7 +54,7 @@ class UPoly:
 
     @classmethod
     def x(cls) -> "UPoly":
-        return cls((0, 1))
+        return _from_ints([0, 1])
 
     @classmethod
     def monomial(cls, n: int, a=1) -> "UPoly":
@@ -52,63 +70,58 @@ class UPoly:
     # -- basic queries -------------------------------------------------
     @property
     def degree(self) -> int:
-        return len(self.c) - 1
+        return len(self.n) - 1
 
     def __bool__(self) -> bool:
-        return bool(self.c)
+        return bool(self.n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, UPoly):
-            return self.c == other.c
+            return self.n == other.n and self.d == other.d
         if isinstance(other, (int, Fraction)):
-            return self.c == (() if other == 0 else (rat(other),))
+            if not other:
+                return not self.n
+            return self.n == (other.numerator,) and self.d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.c)
+        return hash((self.n, self.d))
 
     def coeff(self, i: int) -> Fraction:
-        return self.c[i] if 0 <= i < len(self.c) else Fraction(0)
+        return Fraction(self.n[i], self.d) if 0 <= i < len(self.n) else Fraction(0)
 
     @property
     def lead(self) -> Fraction:
-        if not self.c:
+        if not self.n:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.c[-1]
+        return Fraction(self.n[-1], self.d)
 
     # -- ring operations -----------------------------------------------
     def __add__(self, other) -> "UPoly":
-        other = _coerce(other)
-        n = max(len(self.c), len(other.c))
-        return UPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
+        return _combine(self, _coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "UPoly":
-        return UPoly([-a for a in self.c])
+        return _raw(tuple(-v for v in self.n), self.d)
 
     def __sub__(self, other) -> "UPoly":
-        return self + (-_coerce(other))
+        return _combine(self, _coerce(other), -1)
 
     def __rsub__(self, other) -> "UPoly":
-        return _coerce(other) - self
+        return _combine(_coerce(other), self, -1)
 
     def __mul__(self, other) -> "UPoly":
+        if isinstance(other, UPoly):
+            if not self.n or not other.n:
+                return UPoly()
+            return _from_ints(_z_mul(self.n, other.n), self.d * other.d)
         if isinstance(other, (int, Fraction)):
-            q = rat(other)
-            return UPoly([a * q for a in self.c])
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        if not self.c or not other.c:
-            return UPoly()
-        # clear denominators, convolve over Z, divide once per coefficient
-        da, ia = _int_scaled(self.c)
-        db, ib = _int_scaled(other.c)
-        d = da * db
-        out = UPoly.__new__(UPoly)
-        # the top product is nonzero, so nothing needs trimming
-        out.c = tuple(Fraction(v, d) for v in _z_mul(ia, ib))
-        return out
+            if not other or not self.n:
+                return UPoly()
+            p = other.numerator
+            return _from_ints([v * p for v in self.n], self.d * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -124,24 +137,38 @@ class UPoly:
         return r
 
     def __divmod__(self, other):
+        """Fraction-free long division.  With self = A/da and other = B/db,
+        it keeps s A = Q B + R over Z: a step whose top coefficient lc(B)
+        does not divide scales R, Q and s by lc(B)/gcd(top, lc(B)).  Then
+        q = Q db / (s da) and r = R / (s da), each divided once."""
         other = _coerce(other)
-        if not other.c:
+        b = other.n
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, len(self.c) - len(other.c) + 1)
-        r = list(self.c)
-        d, lc = other.degree, other.lead
-        while len(r) - 1 >= d and any(x != 0 for x in r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            f = r[-1] / lc
+        db = len(b) - 1
+        if len(self.n) <= db:
+            return UPoly(), self
+        r = list(self.n)
+        lb = b[-1]
+        q = [0] * (len(r) - db)
+        s = 1
+        for k in range(len(q) - 1, -1, -1):
+            top = r.pop()
+            if not top:
+                continue
+            g = int_gcd(top, lb)
+            if lb < 0:
+                g = -g
+            m, f = lb // g, top // g
+            if m != 1:
+                r = [v * m for v in r]
+                q = [v * m for v in q]
+                s *= m
             q[k] = f
-            for i, b in enumerate(other.c):
-                r[k + i] -= f * b
-            r.pop()
-        return UPoly(q), UPoly(r)
+            for i in range(db):
+                r[k + i] -= f * b[i]
+        den = s * self.d
+        return _from_ints([v * other.d for v in q], den), _from_ints(r, den)
 
     def __floordiv__(self, other) -> "UPoly":
         return divmod(self, other)[0]
@@ -150,30 +177,51 @@ class UPoly:
         return divmod(self, other)[1]
 
     def exact_div(self, other) -> "UPoly":
-        q, r = divmod(self, _coerce(other))
+        """self / other over Z: by Gauss's lemma a primitive integer B
+        divides an integer A over Q exactly when it divides it over Z, so
+        the division of the primitive parts never scales."""
+        other = _coerce(other)
+        if not self.n or not other.n:
+            return divmod(self, other)[0]
+        ka, a = self.primitive_int()
+        kb, b = other.primitive_int()
+        q, r = divmod(_raw(tuple(a), 1), _raw(tuple(b), 1))
         if r:
-            raise ValueError(f"non-exact division, remainder {r}")
-        return q
+            raise ValueError(f"non-exact division, remainder {r * ka}")
+        return q * (ka / kb)
 
     # -- calculus and evaluation ----------------------------------------
     def derivative(self) -> "UPoly":
-        return UPoly([i * a for i, a in enumerate(self.c)][1:])
+        n = self.n
+        return _from_ints([i * n[i] for i in range(1, len(n))], self.d)
 
     def __call__(self, v):
         """Evaluate by Horner; v may be a Fraction, int, UPoly, or any
-        object supporting + and * with Fractions."""
-        if not self.c:
-            return Fraction(0) if isinstance(v, (int, Fraction)) else v * 0
-        acc = self.c[-1] if isinstance(v, (int, Fraction)) else v * 0 + self.c[-1]
-        for a in reversed(self.c[:-1]):
+        object supporting + and * with Fractions.  At v = p/q the integer
+        Horner runs on the homogenized form, with one Fraction at the end."""
+        if isinstance(v, (int, Fraction)):
+            n = self.n
+            if not n:
+                return Fraction(0)
+            p, q = v.numerator, v.denominator
+            acc, qk = n[-1], 1
+            for a in reversed(n[:-1]):
+                qk *= q
+                acc = acc * p + a * qk
+            return Fraction(acc, self.d * qk)
+        c = self.c
+        if not c:
+            return v * 0
+        acc = v * 0 + c[-1]
+        for a in reversed(c[:-1]):
             acc = acc * v + a
         return acc
 
     def compose(self, other: "UPoly") -> "UPoly":
         acc = UPoly()
-        for a in reversed(self.c):
-            acc = acc * other + UPoly.const(a)
-        return acc
+        for a in reversed(self.n):
+            acc = acc * other + a
+        return acc * Fraction(1, self.d)
 
     def reciprocal(self, n: int | None = None) -> "UPoly":
         """x^n * p(1/x); n defaults to deg p."""
@@ -181,31 +229,32 @@ class UPoly:
             n = self.degree
         if n < self.degree:
             raise ValueError("reciprocal order below degree")
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.c):
-            out[n - i] = a
-        return UPoly(out)
+        out = [0] * (n - self.degree) + list(reversed(self.n))
+        return _from_ints(out, self.d)
 
     def shift(self, a) -> "UPoly":
         """p(x + a)."""
         return self.compose(UPoly((rat(a), 1)))
 
     def monic(self) -> "UPoly":
-        if not self.c:
+        n = self.n
+        if not n or n[-1] == self.d:
             return self
-        return self * (1 / self.lead)
+        if n[-1] < 0:
+            return _from_ints([-v for v in n], -n[-1])
+        return _from_ints(list(n), n[-1])
 
     # -- integer-polynomial helpers -------------------------------------
     def primitive_int(self):
         """Return (k, [int coefficients]) with self = k * intpoly, the
         integer polynomial primitive with positive leading coefficient."""
-        if not self.c:
+        n = self.n
+        if not n:
             return Fraction(0), [0]
-        den, ints = _int_scaled(self.c)
-        g = int_gcd(*ints)
-        if ints[-1] < 0:
+        g = int_gcd(*n)
+        if n[-1] < 0:
             g = -g
-        return Fraction(g, den), [v // g for v in ints]
+        return Fraction(g, self.d), [v // g for v in n]
 
     # -- serialization ---------------------------------------------------
     def to_json(self):
@@ -213,10 +262,10 @@ class UPoly:
 
     def poly_str(self, var: str = "x") -> str:
         """Human-readable form like 'u^2 - 3/2', highest degree first."""
-        if not self.c:
+        if not self.n:
             return "0"
         parts = []
-        for i in range(len(self.c) - 1, -1, -1):
+        for i in range(len(self.n) - 1, -1, -1):
             a = self.c[i]
             if a == 0:
                 continue
@@ -235,7 +284,7 @@ class UPoly:
         return cls([rat(str(a)) for a in arr])
 
     def __repr__(self):
-        if not self.c:
+        if not self.n:
             return "UPoly(0)"
         terms = []
         for i, a in enumerate(self.c):
@@ -250,11 +299,50 @@ class UPoly:
         return "UPoly(" + " + ".join(terms) + ")"
 
 
+def _raw(n: tuple, d: int) -> UPoly:
+    """A UPoly from a numerator tuple and denominator already in canonical form."""
+    out = UPoly.__new__(UPoly)
+    out.n, out.d, out._c = n, d, None
+    return out
+
+
+def _from_ints(n: list, d: int = 1) -> UPoly:
+    """The UPoly n / d for an int list n and an int d > 0, brought to
+    canonical form: trailing zeros trimmed and the common factor removed."""
+    while n and n[-1] == 0:
+        n.pop()
+    if d != 1:
+        g = int_gcd(d, *n)  # d itself when n is empty, which leaves d = 1
+        if g != 1:
+            n = [v // g for v in n]
+            d //= g
+    return _raw(tuple(n), d)
+
+
+def _combine(a: UPoly, b: UPoly, sign: int) -> UPoly:
+    """a + sign * b over the lcm of the two denominators."""
+    an, bn, d = a.n, b.n, a.d
+    if d != b.d:
+        g = int_gcd(d, b.d)
+        fa, fb = b.d // g, d // g
+        d *= fa
+        an = [v * fa for v in an]
+        bn = [v * fb for v in bn]
+    if sign < 0:
+        bn = [-v for v in bn]
+    if len(an) < len(bn):
+        an, bn = bn, an
+    out = list(an)
+    for i, v in enumerate(bn):
+        out[i] += v
+    return _from_ints(out, d)
+
+
 def _coerce(v) -> UPoly:
     if isinstance(v, UPoly):
         return v
     if isinstance(v, (int, Fraction)):
-        return UPoly((rat(v),))
+        return _from_ints([v.numerator], v.denominator)
     raise TypeError(f"cannot coerce {v!r} to UPoly")
 
 
@@ -378,7 +466,7 @@ def gcd(p: UPoly, q: UPoly) -> UPoly:
         if b:
             g = int_gcd(*b)
             b = [v // g for v in b]
-    return UPoly(a).monic()
+    return _raw(tuple(a), 1).monic()
 
 
 # -- resultants and discriminants ----------------------------------------
@@ -438,9 +526,12 @@ def inv_mod(p: UPoly, m: UPoly) -> UPoly:
 
 
 def valuation(p: UPoly, place: UPoly) -> int:
-    """Multiplicity of the irreducible place in p (inf-like large for p = 0)."""
+    """Multiplicity of the irreducible place in p (inf-like large for p = 0).
+    The division runs on the primitive integer parts, over Z (Gauss's
+    lemma), so an exact step never scales."""
     if not p:
         return 1 << 30
+    p, place = (_raw(tuple(f.primitive_int()[1]), 1) for f in (p, place))
     v = 0
     while True:
         q, r = divmod(p, place)
@@ -496,8 +587,7 @@ def resultant_upoly_coeffs(f_coeffs, g_coeffs) -> UPoly:
         for t in range(bound + 1)
     ]
     acc, scale = _int_interpolate(values)
-    den = scale * df**dn * dg**dm
-    return UPoly([Fraction(v, den) for v in acc])
+    return _from_ints(acc, scale * df**dn * dg**dm)
 
 
 def _int_interpolate(values):
@@ -522,8 +612,8 @@ def _int_interpolate(values):
 def _int_rows(cs):
     """(D, rows): D the lcm of the denominators of the UPoly list cs, and
     rows the int coefficient lists of D * cs."""
-    den = lcm(*(a.denominator for c in cs for a in c.c))
-    return den, [[a.numerator * (den // a.denominator) for a in c.c] for c in cs]
+    den = lcm(*(c.d for c in cs))
+    return den, [[v * (den // c.d) for v in c.n] for c in cs]
 
 
 def _int_horner(r, t: int) -> int:

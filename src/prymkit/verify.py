@@ -209,7 +209,7 @@ def suite_fibers(cfg: RunConfig) -> Certificate:
     s.eq("two-isogeny image a6", v2.a6, fams["pencil_dual"].a6)
     s.eq(
         "pencil discriminant ratio 2^-18",
-        fams["pencil_jac"].disc_cubic() * Fraction(2**18),
+        fams["pencil_jac"].delta * Fraction(2**14),
         cfg.pencil.delta_z,
     )
     pb = fb.pullback_double_base(fams["shioda"])
@@ -508,7 +508,7 @@ def suite_heights(cfg: RunConfig) -> Certificate:
         {f"{a},{b}": v for (a, b), v in sorted(got.items())},
         {f"{a},{b}": v for (a, b), v in sorted(expected.items())},
     )
-    twisted_delta_places = [f for f, _ in squarefree_places(ss.model.delta())]
+    twisted_delta_places = [f for f, _ in squarefree_places(ss.model.delta)]
     s.eq(
         "section model keeps the twelve nodal places",
         sum(f.degree for f in twisted_delta_places),

@@ -58,3 +58,50 @@ def test_curve_op_passes_the_benchmark_checks(monkeypatch):
     inv_f = igusa_clebsch(f).as_tuple()
     assert inv_f[3] == 0
     assert checks.moebius_problems(f, inv_f, m, igusa_clebsch(image).as_tuple()) == []
+
+
+def _prymkit(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "prymkit.cli", *args], env=env,
+                          capture_output=True, text=True, cwd=ROOT, timeout=120)
+
+
+def test_verify_ops_pass_the_benchmark_checks(monkeypatch, tmp_path):
+    """The verify_reference op and the moduli_sweep op at (9,16,36; 3,24) k15
+    with pencil, run as the benchmark runs them, pass the benchmark's own
+    certificate checks; so do the recheck of both and one fiber table, whose
+    places sympy re-derives from the family's discriminant."""
+    pytest.importorskip("sympy")
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import checks
+    import corpus
+
+    from prymkit.rat import rat
+    from prymkit.verify import RunConfig, families
+
+    (sweep,) = [(mod, suites) for mod, variant, suites in corpus.sweep_configs()
+                if mod[0] == "9,16,36" and variant == "k15"]
+    assert "pencil" in sweep[1]
+    ops = [(["--suite", "all"], frozenset(), 0),
+           (corpus.verify_args(sweep[0], "k15", sweep[1]), corpus.PENCIL_FAILING_LABELS, 1)]
+    texts, all_certs = [], []
+    for i, (args, expected, code) in enumerate(ops):
+        path = tmp_path / f"op{i}.jsonl"
+        out = _prymkit("verify", *args, "--out", str(path))
+        assert out.returncode == code, out.stderr
+        certs = checks.load_jsonl(path.read_text())
+        assert checks.certificate_problems(certs, expected) == []
+        texts.append(path.read_text())
+        all_certs += certs
+    bundle = tmp_path / "all.jsonl"
+    bundle.write_text("".join(texts))
+    out = _prymkit("verify", "--recheck", str(bundle))
+    assert out.returncode == 1, out.stderr  # the sweep op's pencil certificate fails
+    assert checks.recheck_problems(checks.load_jsonl(out.stdout), all_certs) == []
+
+    out = _prymkit("fibers", "--family", "pencil_dual")
+    assert out.returncode == 0, out.stderr
+    (record,) = checks.load_jsonl(out.stdout)
+    fam = families(RunConfig(tuple(rat(v) for v in corpus.REFERENCE[0].split(",")),
+                             rat(corpus.REFERENCE[1]), rat(corpus.REFERENCE[2]), "k15"))
+    assert checks.fiber_places_problems(fam["pencil_dual"].to_json(), record) == []

@@ -140,6 +140,15 @@ def test_invariants_rejects_non_squarefree(capsys):
     assert "squarefree" in err
 
 
+@pytest.mark.parametrize("curve", [
+    '[3,-5,3,-2,1,-1,1]',                 # (x - 1)^2 (x^4 + x^3 + 2x^2 + x + 3)
+    '["1/4","-1","1","0","-3/8","3/2","-3/2"]',  # (x - 1/2)^2 (1 - 3/2 x^4)
+])
+def test_invariants_rejects_non_squarefree_sextic(capsys, curve):
+    code, out, err = run_cli(capsys, "invariants", "--curve", curve)
+    assert (code, out, err) == (2, "", "error: curve polynomial is not squarefree\n")
+
+
 def test_suite_subset_in_canonical_order(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "identification", "--suite", "richelot")
     assert code == 0

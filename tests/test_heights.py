@@ -79,7 +79,7 @@ def test_each_torsion_passes_eight_nodes(section_set):
     from prymkit.fibration import _passes_node
 
     model = section_set.model
-    places = [f for f, _ in squarefree_places(model.delta())]
+    places = [f for f, _ in squarefree_places(model.delta)]
     for t in ("t1", "t2", "t3"):
         sec = getattr(section_set, t)
         hit = sum(f.degree for f in places if _passes_node(sec, model, f))

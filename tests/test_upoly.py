@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,11 +11,13 @@ from prymkit.upoly import (
     discriminant,
     gcd,
     _int_interpolate,
+    inv_mod,
     resultant,
     resultant_upoly_coeffs,
     valuation,
 )
 from prymkit.bpoly import MPoly
+from prymkit.factorq import squarefree_places
 
 x = UPoly.x()
 
@@ -321,3 +324,163 @@ def test_mpoly_calculus_matches_sympy():
         t = sympy.Symbol("t")
         diag = sympy.Poly(ps.subs({g: t for g in gens}), t)
         assert p.to_upoly() == UPoly(list(reversed([_as_fraction(c) for c in diag.all_coeffs()])))
+
+
+# -- division, gcd and squarefree places against sympy -------------------------------
+
+# divisors that are non-monic, have a negative leading coefficient, or have
+# rational coefficients
+DIVISORS = [
+    UPoly((-1, 2)),                          # 2t - 1
+    UPoly((Fraction(1, 2), 0, -3)),          # -3t^2 + 1/2
+    UPoly((0, 1)),                           # t
+    UPoly((1, 0, 1)),                        # t^2 + 1
+    UPoly((Fraction(2, 3), -5)),             # -5t + 2/3
+    UPoly((Fraction(-7, 4), 1, 0, Fraction(3, 2))),
+]
+
+
+def _from_sym(expr, var):
+    sympy = pytest.importorskip("sympy")
+    if expr == 0:
+        return UPoly()
+    return UPoly(list(reversed([_as_fraction(c) for c in sympy.Poly(expr, var).all_coeffs()])))
+
+
+def test_divmod_exact_div_and_inv_mod_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.Symbol("x")
+    rng = random.Random(40)
+    for _ in range(60):
+        a = _random_upoly(rng, rng.randint(0, 8))
+        b = rng.choice(DIVISORS + [_random_upoly(rng, rng.randint(0, 4))])
+        q, r = divmod(a, b)
+        sq, sr = sympy.div(_sym(a, xs), _sym(b, xs), xs)
+        assert (q, r) == (_from_sym(sq, xs), _from_sym(sr, xs)), (a, b)
+        assert (a // b, a % b) == (q, r)
+        assert (a * b).exact_div(b) == a
+        if r:
+            with pytest.raises(ValueError) as err:
+                a.exact_div(b)
+            assert str(err.value) == f"non-exact division, remainder {r!r}"
+        if b.degree >= 1 and sympy.gcd(_sym(a, xs), _sym(b, xs)) == 1:
+            want = sympy.invert(_sym(a, xs), _sym(b, xs), xs)
+            assert inv_mod(a, b) == _from_sym(sympy.expand(want), xs), (a, b)
+
+
+def test_valuation_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.Symbol("x")
+    rng = random.Random(41)
+    for _ in range(40):
+        place = rng.choice(DIVISORS)
+        p = _random_upoly(rng, rng.randint(0, 4)) * place ** rng.randint(0, 3)
+        p = p * rng.choice([1, -2, Fraction(5, 3)])
+        expr, want = _sym(p, xs), 0
+        while True:
+            quo, rem = sympy.div(expr, _sym(place, xs), xs)
+            if rem != 0:
+                break
+            expr, want = quo, want + 1
+        assert valuation(p, place) == want, (p, place)
+
+
+def test_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.Symbol("x")
+    rng = random.Random(42)
+    for _ in range(60):
+        common = _random_upoly(rng, rng.randint(0, 3))
+        p = _random_upoly(rng, rng.randint(0, 4)) * common
+        q = _random_upoly(rng, rng.randint(0, 4)) * common
+        want = sympy.Poly(_sym(p, xs), xs, domain="QQ").gcd(
+            sympy.Poly(_sym(q, xs), xs, domain="QQ")).monic()
+        assert gcd(p, q) == _from_sym(want.as_expr(), xs), (p, q)
+
+
+def test_squarefree_places_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.Symbol("x")
+    rng = random.Random(43)
+    for _ in range(30):
+        p = UPoly.const(Fraction(rng.choice([-3, 1, 2]), rng.randint(1, 4)))
+        for _ in range(rng.randint(1, 4)):
+            p = p * _random_upoly(rng, rng.randint(1, 3)) ** rng.randint(1, 3)
+        _, factors = sympy.factor_list(_sym(p, xs), xs)
+        want = sorted((tuple(sympy.Poly(f, xs).monic().all_coeffs()), m) for f, m in factors
+                      if sympy.Poly(f, xs).degree() > 0)
+        got = sorted((tuple(sympy.Rational(c.numerator, c.denominator) for c in reversed(f.c)), m)
+                     for f, m in squarefree_places(p))
+        assert got == want, p
+
+
+# -- the stored form is canonical after every operation ------------------------------
+
+
+def _canonical_upoly(p):
+    n, d = p.n, p.d
+    return (type(n) is tuple and all(type(v) is int for v in n) and type(d) is int
+            and d > 0 and (not n or n[-1] != 0) and math.gcd(d, *n) == 1)
+
+
+def _canonical_mpoly(p):
+    vals = list(p.m.values())
+    return (type(p.den) is int and p.den > 0 and all(type(v) is int and v for v in vals)
+            and math.gcd(p.den, *vals) == 1)
+
+
+def test_canonical_examples():
+    half = UPoly([Fraction(1, 2)])
+    assert UPoly([Fraction(2, 4)]) == half and hash(UPoly([Fraction(2, 4)])) == hash(half)
+    assert (half.n, half.d) == ((1,), 2)
+    p = UPoly((Fraction(1, 2), 1))
+    assert p - p == UPoly() and hash(p - p) == hash(UPoly()) and (p - p).d == 1
+    assert p + p == UPoly((1, 2)) and (p + p).d == 1
+    # a negative leading coefficient does not leave a negative denominator
+    for q in (UPoly((1, -2)).monic(), divmod(x * x, UPoly((1, -2)))[0],
+              divmod(x * x, UPoly((Fraction(1, 2), 0, -3)))[1], p * Fraction(-3, 4)):
+        assert _canonical_upoly(q), (q.n, q.d)
+    a, b = MPoly.var(0, 2), MPoly.var(1, 2)
+    div = a * -2 + b * Fraction(1, 3)
+    assert ((a * 3 - b) * div).exact_divide(div) == a * 3 - b
+    for r in ((a * a).exact_divide(a * -2), (a * a - b * b * 3).scaled_subs(0), div * Fraction(-3, 4)):
+        assert _canonical_mpoly(r), (r.m, r.den)
+
+
+mpolys2 = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals,
+                          max_size=5).map(lambda t: MPoly(2, t))
+
+
+@given(upolys(4), upolys(3), rationals)
+@settings(max_examples=80, deadline=None)
+def test_upoly_operations_stay_canonical(p, q, a):
+    results = [p, q, p + q, p - q, -p, p * q, p * a, a * p, p ** 2, p.derivative(),
+               p.reciprocal(max(p.degree, 0) + 1), p.monic(), p.shift(a), p - p, gcd(p, q)]
+    if q:
+        results += [*divmod(p, q), (p * q).exact_div(q)]
+        assert (p * q) // q == p and hash((p * q) // q) == hash(p)
+        if q.degree >= 1 and gcd(p, q).degree == 0 and p % q:
+            results.append(inv_mod(p, q))
+    for r in results:
+        assert _canonical_upoly(r), (r.n, r.d)
+        assert r == UPoly(r.c) and hash(r) == hash(UPoly(r.c))
+    assert p - p == UPoly() and hash(p - p) == hash(UPoly())
+
+
+@given(mpolys2, mpolys2, rationals)
+@settings(max_examples=60, deadline=None)
+def test_mpoly_operations_stay_canonical(p, q, a):
+    results = [p, q, p + q, p - q, -p, p * q, p * a, p ** 2, p.deriv(0), p.deriv(1),
+               p.subs(0, a), p.permute((1, 0)), p - p,
+               MPoly.from_upoly(p.subs(0, a).to_upoly(), 1, 2)]
+    results += [MPoly.from_upoly(r, 0, 2) for r in p.upoly_rows()]
+    even = MPoly(2, {k: v for k, v in ((k, p.coeff(*k)) for k in p.m) if sum(k) % 2 == 0})
+    results.append(even.scaled_subs(a))
+    if q:
+        results.append((p * q).exact_divide(q))
+        assert (p * q).exact_divide(q) == p
+    for r in results:
+        assert _canonical_mpoly(r), (r.m, r.den)
+        same = MPoly(2, {k: r.coeff(*k) for k in r.m})
+        assert r == same and hash(r) == hash(same)
+    assert p - p == MPoly(2) and hash(p - p) == hash(MPoly(2))
