@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .rat import rat, rat_str
@@ -105,7 +106,7 @@ def cmd_fibers(args, out) -> int:
     for name in wanted:
         if name not in fams:
             raise ValueError(f"unknown family {name!r}; choose from {sorted(fams)}")
-        reports = fb.classify_fibers(fams[name])
+        reports = fb.irreducible_reports(fb.classify_fibers(fams[name]))
         _emit(out, {
             "family": name,
             "inventory": fb.fiber_inventory(reports),
@@ -157,23 +158,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+COMMANDS = {"verify": cmd_verify, "pencil": cmd_pencil, "fibers": cmd_fibers,
+            "invariants": cmd_invariants}
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     out = sys.stdout
     try:
-        if args.command == "verify":
-            return cmd_verify(args, out)
-        if args.command == "pencil":
-            return cmd_pencil(args, out)
-        if args.command == "fibers":
-            return cmd_fibers(args, out)
-        if args.command == "invariants":
-            return cmd_invariants(args, out)
-        raise ValueError(f"unknown command {args.command}")
+        code = COMMANDS[args.command](args, out)
+        out.flush()
+        return code
     except (ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout: send the interpreter's final flush to
+        # devnull, so that it raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return EXIT_SUITE_FAILURE
 
 
 if __name__ == "__main__":

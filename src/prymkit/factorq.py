@@ -3,6 +3,12 @@
 Squarefree splitting is Yun's algorithm; each squarefree part is factored
 over the integers by small-prime Berlekamp factorization, quadratic Hensel
 lifting to a Landau-Mignotte height bound, and subset recombination.
+
+Kodaira types, fiber inventories, contact numbers and place counts need
+only valuations and degrees, which Yun's split and gcds give (see
+fibration).  Full factorization is kept for the outputs that name an
+irreducible place: the fiber table of `prymkit fibers`, the pencil's
+per-place labels and rational_roots.
 """
 
 from __future__ import annotations

@@ -3,8 +3,13 @@
 Families are y^2 = x^3 + a2(t) x^2 + a4(t) x + a6(t) with polynomial
 coefficients subject to the K3 degree bounds deg a_i <= i*d (d = 2).
 Singular fibers are classified by the residue-characteristic-zero table
-on the valuations of (c4, c6, Delta) at each place, with the place at
-infinity handled in the flipped chart s = 1/t.
+on the valuations of (c4, c6, Delta), with the place at infinity handled
+in the flipped chart s = 1/t.  The finite places are not factored: they
+are kept as a gcd-free basis, Yun's squarefree split of Delta refined by
+gcds against c4 and c6 (Bach, Driscoll & Shallit, *Factor refinement*),
+on whose elements the three valuations are constant.  The height pairing
+works on the same basis; only irreducible_reports factors, for tables
+that name each place.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from .rat import Rat, rat, sqrt_exact
 from .upoly import UPoly, gcd, inv_mod, valuation
 from .bpoly import MPoly
 from .ratfunc import RatFunc
-from .factorq import squarefree_places
+from .factorq import factor_squarefree, yun_squarefree
 from .hermite import EllipticW, _aj_image
 from .genus2 import CoverPoint
 
@@ -132,16 +137,19 @@ def _kodaira_from_valuations(vc4, vc6, vdelta) -> str:
 
 
 def classify_fibers(w: WeierstrassFamily):
-    """Fiber reports at every place of bad reduction, including infinity."""
-    delta = w.delta
+    """Fiber reports at every place of bad reduction, including infinity.
+
+    A finite report's place is an element of a gcd-free basis of the bad
+    places: squarefree, coprime to the other elements, with v(c4), v(c6)
+    and v(Delta) the same at each of its irreducible factors; its mult is
+    its degree.  irreducible_reports splits the reports place by place."""
     c4, c6 = w.c4(), w.c6()
     reports = []
-    for place, mult in squarefree_places(delta):
-        vd = mult
-        vc4 = valuation(c4, place) if c4 else 1 << 30
-        vc6 = valuation(c6, place) if c6 else 1 << 30
-        kind = _kodaira_from_valuations(min(vc4, 1 << 20), min(vc6, 1 << 20), vd)
-        reports.append(FiberReport(place, kind, vd, place.degree, w.var))
+    for b, vd in yun_squarefree(w.delta):
+        for b4, vc4 in _split_by_valuation(b, c4):
+            for b6, vc6 in _split_by_valuation(b4, c6):
+                kind = _kodaira_from_valuations(vc4, vc6, vd)
+                reports.append(FiberReport(b6, kind, vd, b6.degree, w.var))
     flip = w.flip()
     dflip = flip.delta
     s = UPoly.x()
@@ -153,6 +161,36 @@ def classify_fibers(w: WeierstrassFamily):
         kind = _kodaira_from_valuations(min(vc4, 1 << 20), min(vc6, 1 << 20), vd)
         reports.append(FiberReport(INF_PLACE, kind, vd, 1, w.var))
     return reports
+
+
+def _split_by_valuation(b: UPoly, c: UPoly):
+    """[(piece, v)]: the monic squarefree b split into the pieces on whose
+    irreducible factors c has valuation v (1 << 20 stands for c = 0)."""
+    if not c:
+        return [(b, 1 << 20)]
+    out, v = [], 0
+    while b.degree > 0:
+        g = gcd(b, c)
+        if g.degree < b.degree:
+            out.append((b.exact_div(g), v))
+        if g.degree == 0:
+            break
+        b, c, v = g, c.exact_div(g), v + 1
+    return out
+
+
+def irreducible_reports(reports):
+    """The reports with each basis element split into its monic irreducible
+    factors, each with the element's type and order, sorted by degree and
+    coefficients; infinity stays last."""
+    out = [
+        FiberReport(f, r.kodaira, r.ord_delta, f.degree, r.var)
+        for r in reports
+        if r.place is not INF_PLACE
+        for f in factor_squarefree(r.place)
+    ]
+    out.sort(key=lambda r: (r.place.degree, r.place.c))
+    return out + [r for r in reports if r.place is INF_PLACE]
 
 
 def fiber_inventory(reports):
@@ -342,10 +380,7 @@ def sections_from_aj(pp) -> SectionSet:
     is the constant quadratic twist of the printed pencil on which these
     sections are rational.
     """
-    from .factorq import rational_roots
-
-    p, ip = pp.p, pp.ip
-    roots = rational_roots(p)
+    p, ip, roots = pp.p, pp.ip, pp.roots
     if len(roots) != 4 or p != UPoly.from_roots(roots, p.lead):
         raise ValueError("sections not rational: the quartic does not split")
     model = build_pencil_jac(pp).twist(-8)
@@ -379,8 +414,9 @@ def sections_from_aj(pp) -> SectionSet:
 
 
 def _node_x(w: WeierstrassFamily, place: UPoly) -> UPoly | None:
-    """x-coordinate (as residue mod the place) of the fiber node at a
-    multiplicative place, or None when a2^2 - 3 a4 = c4/16 vanishes there.
+    """x-coordinate (as residue mod the squarefree place) of the fiber node
+    at a multiplicative place, or None when a2^2 - 3 a4 = c4/16 vanishes
+    there.
 
     A nodal cubic (x - r)^2 (x - s) has a2^2 - 3 a4 = (r - s)^2 and
     9 a6 - a2 a4 = 2 r (r - s)^2, so r = (9 a6 - a2 a4) / (2 (a2^2 - 3 a4)).
@@ -392,53 +428,29 @@ def _node_x(w: WeierstrassFamily, place: UPoly) -> UPoly | None:
     return ((a6 * 9 - a2 * a4) * inv_mod(c * 2, place)) % place
 
 
-def _passes_node(sec: Section, w: WeierstrassFamily, place: UPoly) -> bool:
-    return _meets_node(sec, place, _node_x(w, place))
-
-
-def _meets_node(sec: Section, place: UPoly, xn: UPoly | None) -> bool:
-    """Whether the section passes through the node at x = xn of the fiber
-    over the place (xn None: no rational node there)."""
+def _node_set(sec: Section, place: UPoly, xn: UPoly | None) -> UPoly:
+    """The monic factor of the squarefree place made of the places where
+    the section passes through the fiber node x = xn (xn None: no rational
+    node): gcd(place, num x - xn den x).  At a pole of x that gcd drops the
+    place, since num x and den x are coprime; and y = 0 needs no test, since
+    on y^2 = (x - xn)^2 (x - s) the node is the only point with x = xn."""
     if sec.is_zero_section or xn is None:
-        return False
-    try:
-        xres = sec.x.residue(place)
-        yres = sec.y.residue(place)
-    except ZeroDivisionError:
-        return False
-    return (xres - xn) % place == 0 and yres % place == 0
+        return UPoly.one()
+    return gcd(place, sec.x.num - xn * sec.x.den)
 
 
 def _contact(s1: Section, s2: Section, w: WeierstrassFamily):
-    """Total and per-place contact multiplicity of two distinct sections on
-    the Weierstrass model, including the place at infinity."""
-    if s1.is_zero_section or s2.is_zero_section:
-        other = s2 if s1.is_zero_section else s1
-        return sum(v for _, v in _pole_places(other, w)), {}
+    """(total, common) for two distinct sections off the zero section: the
+    total contact multiplicity on the Weierstrass model, including the
+    place at infinity, and the finite contact locus
+    common = gcd(num(x1 - x2), num(y1 - y2)), whose degree is the finite part."""
     dx = s1.x - s2.x
     dy = s1.y - s2.y
-    per = {}
-    total = 0
     if not dx.num and not dy.num:
         raise ValueError("identical sections")
-    base = dx if dx.num else dy
-    places = set()
-    for f, _ in squarefree_places(base.num if base.num else UPoly.one()):
-        places.add(f)
-    for f in places:
-        ox = dx.valuation(f) if dx.num else 1 << 30
-        oy = dy.valuation(f) if dy.num else 1 << 30
-        mval = min(ox, oy)
-        if mval > 0:
-            per[f] = mval
-            total += mval * f.degree
-    oxi = _ord_inf(dx, 2 * w.d)
-    oyi = _ord_inf(dy, 3 * w.d)
-    mi = min(oxi, oyi)
-    if mi > 0:
-        per[INF_PLACE] = mi
-        total += mi
-    return total, per
+    common = gcd(dx.num, dy.num)
+    mi = min(_ord_inf(dx, 2 * w.d), _ord_inf(dy, 3 * w.d))
+    return common.degree + max(mi, 0), common
 
 
 def _ord_inf(f: RatFunc, weight: int) -> int:
@@ -447,28 +459,13 @@ def _ord_inf(f: RatFunc, weight: int) -> int:
     return weight - (f.num.degree - f.den.degree)
 
 
-def _pole_places(sec: Section, w: WeierstrassFamily):
-    out = []
-    for f, _ in squarefree_places(sec.x.den) if sec.x.den.degree > 0 else []:
-        v = -sec.x.valuation(f)
-        if v > 0:
-            if v % 2:
-                raise ValueError("odd pole order in a section x-coordinate")
-            out.append((f, (v // 2) * f.degree))
-    oxi = _ord_inf(sec.x, 2 * w.d)
-    if oxi < 0:
-        if oxi % 2:
-            raise ValueError("odd pole order at infinity")
-        out.append((INF_PLACE, -oxi // 2))
-    return out
-
-
 class HeightPairing:
     """Mordell-Weil height pairing on one family whose bad fibers are all
     multiplicative of type I1 or I2.  The fiber data that every pair shares
-    is computed once: the fiber reports and the node x-coordinate at each
-    finite I2 place.  Per section, its intersection with the zero section
-    and the I2 nodes it passes through are computed on first use."""
+    is computed once: the basis elements of the finite I2 places and the
+    node x-coordinate modulo each.  Per section, its intersection with the
+    zero section and its node set (the product of the I2 places where it
+    passes through the node) are computed on first use."""
 
     def __init__(self, w: WeierstrassFamily):
         reports = classify_fibers(w)
@@ -476,41 +473,42 @@ class HeightPairing:
             if r.kodaira not in ("I1", "I2"):
                 raise ValueError(f"unsupported fiber type {r.kodaira} for heights")
         self.w = w
-        self.nodes = {
-            r.place: _node_x(w, r.place)
+        self.nodes = [
+            (r.place, _node_x(w, r.place))
             for r in reports
             if r.kodaira == "I2" and r.place is not INF_PLACE
-        }
+        ]
         self._sections = {}
 
     def _section(self, sec: Section):
         if sec not in self._sections:
-            met = [pl for pl, xn in self.nodes.items() if _meets_node(sec, pl, xn)]
+            met = UPoly.one()
+            for place, xn in self.nodes:
+                met = met * _node_set(sec, place, xn)
             self._sections[sec] = (_sigma_int(sec, self.w), met)
         return self._sections[sec]
+
+    def node_set(self, sec: Section) -> UPoly:
+        """The monic product of the I2 places where sec passes the node."""
+        return self._section(sec)[1]
 
     def __call__(self, s1: Section, s2: Section) -> Fraction:
         chi = 2
         sigma_s1, met1 = self._section(s1)
         sigma_s2, met2 = self._section(s2)
-        both = [pl for pl in met1 if pl in met2]
+        shared = gcd(met1, met2)
         if s1 == s2:
-            inter = Fraction(-2)  # self-intersection of any section on a K3
+            inter = -2  # self-intersection of any section on a K3
         elif s1.is_zero_section or s2.is_zero_section:
-            inter = Fraction(sigma_s2 if s1.is_zero_section else sigma_s1)
+            inter = sigma_s2 if s1.is_zero_section else sigma_s1
         else:
-            total, per = _contact(s1, s2, self.w)
-            inter = Fraction(total)
-            for place in both:
-                m = per.get(place, 0)
-                if m:
-                    if m != 1:
-                        raise ValueError("deep tangency at a node is unsupported")
-                    inter -= place.degree
-        corr = Fraction(0)
-        for place in both:
-            corr += Fraction(1, 2) * place.degree
-        return chi + sigma_s1 + sigma_s2 - inter - corr
+            # both sections pass every shared node, so shared divides common;
+            # a shared node met to order two or more lies in common / shared
+            total, common = _contact(s1, s2, self.w)
+            if gcd(shared, common.exact_div(shared)).degree > 0:
+                raise ValueError("deep tangency at a node is unsupported")
+            inter = total - shared.degree
+        return chi + sigma_s1 + sigma_s2 - inter - Fraction(shared.degree, 2)
 
 
 def height_pairing(w: WeierstrassFamily, s1: Section, s2: Section) -> Fraction:
@@ -520,7 +518,14 @@ def height_pairing(w: WeierstrassFamily, s1: Section, s2: Section) -> Fraction:
 
 
 def _sigma_int(sec: Section, w: WeierstrassFamily) -> int:
-    """Intersection with the zero section (= -2 for the zero section itself)."""
+    """Intersection with the zero section (= -2 for the zero section itself):
+    half the pole order of x, summed over the finite places (deg den x / 2)
+    and infinity.  Yun's split shows every finite pole order even."""
     if sec.is_zero_section:
         return -2
-    return sum(v for _, v in _pole_places(sec, w))
+    if any(mult % 2 for _, mult in yun_squarefree(sec.x.den)):
+        raise ValueError("odd pole order in a section x-coordinate")
+    oxi = _ord_inf(sec.x, 2 * w.d)
+    if oxi < 0 and oxi % 2:
+        raise ValueError("odd pole order at infinity")
+    return sec.x.den.degree // 2 + max(-oxi, 0) // 2

@@ -12,7 +12,6 @@ from functools import cached_property
 from .rat import Rat, rat, rat_str, sqrt_exact
 from .upoly import UPoly, bracket, convolve, gcd, resultant_upoly_coeffs
 from .bpoly import MPoly
-from .factorq import rational_roots
 from .hermite import j_from_cubic
 from .genus2 import CoverPoint, Genus2Curve, NormalFormCoeffs, moduli_ef
 from .pencil3 import PencilParams, _homogenize, bitangent_conics, data_polys, scaled_even_subs
@@ -112,11 +111,10 @@ def quadrics_frames_agree(
 def rational_points8(qt: QuadricTriple):
     """The eight marked rational points [V:W:X:Y:Z] with Z = 0 over the
     roots of the quartic."""
-    roots = rational_roots(qt.pp.p)
-    if len(roots) != 4:
+    if len(qt.pp.roots) != 4:
         raise ValueError("quartic does not split over the rationals")
     pts = []
-    for xr in roots:
+    for xr in qt.pp.roots:
         v2 = qt.q1.evaluate(xr, 1, 0)
         vv = sqrt_exact(v2)
         if vv is None:
@@ -138,6 +136,8 @@ class GammaLocus:
     line: MPoly
     residual_conic: MPoly
     conic_minus: MPoly  # a0^2 - 4 a1 a2
+    det5: MPoly  # the 5x5 determinant of the net, equal to block
+    block: MPoly  # cubic * (a1 a2 - a0^2/4)
 
 
 def gamma_locus(qt: QuadricTriple) -> GammaLocus:
@@ -148,9 +148,7 @@ def gamma_locus(qt: QuadricTriple) -> GammaLocus:
     # block identity: det5 = det3 * (a1 a2 - a0^2/4)
     det5 = det_pencil5(qt.matrices())
     block = cubic * (a1 * a2 - a0 * a0 * Fraction(1, 4))
-    if det5 != block:
-        raise AssertionError("5x5 determinant lost its block factorization")
-    return GammaLocus(cubic, a0, residual, minus)
+    return GammaLocus(cubic, a0, residual, minus, det5, block)
 
 
 def prym_genus2(qt: QuadricTriple) -> Genus2Curve:

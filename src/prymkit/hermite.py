@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rat import Rat, rat
-from .bpoly import MPoly
+from .bpoly import MPoly, _canon
+from . import quadforms
 from .upoly import UPoly, bracket, discriminant
 
 
@@ -60,36 +61,108 @@ class EllipticW:
         return rat(y) ** 2 == self.rhs(x)
 
 
-def jacobian_of_quartic(q: QuarticGenus1) -> EllipticW:
-    p0, p1, p2, p3, p4 = q.coeffs()
-    f = -4 * p4 * p0 + p3 * p1 - p2 * p2 / 3
+def jacobian_fg(p0, p1, p2, p3, p4):
+    """(f, g) of the Jacobian of w^2 = P(x) from the coefficients of P, which
+    may be rationals or MPolys."""
+    f = p4 * p0 * -4 + p3 * p1 - p2 * p2 * Fraction(1, 3)
     g = (
-        Fraction(-8, 3) * p4 * p2 * p0
+        p4 * p2 * p0 * Fraction(-8, 3)
         + p4 * p1 * p1
         + p3 * p3 * p0
-        - p3 * p2 * p1 / 3
-        + Fraction(2, 27) * p2**3
+        - p3 * p2 * p1 * Fraction(1, 3)
+        + p2**3 * Fraction(2, 27)
     )
-    return EllipticW(f, g)
+    return f, g
+
+
+def jacobian_of_quartic(q: QuarticGenus1) -> EllipticW:
+    return EllipticW(*jacobian_fg(*q.coeffs()))
+
+
+def _biquadratic(x, y, p0, p1, p2, p3, p4):
+    """The symmetric biquadratic R(x, y) with R(x, x) = P(x), from the
+    coefficients of P, which may be rationals or MPolys."""
+    return (
+        x * x * y * y * p4
+        + x * y * (x + y) * (p3 * Fraction(1, 2))
+        + (x * x + y * y) * (p2 * Fraction(1, 6))
+        + x * y * (p2 * Fraction(2, 3))
+        + (x + y) * (p1 * Fraction(1, 2))
+        + p0
+    )
 
 
 def hermite_polys(q: QuarticGenus1):
     """(R, R1, Q): the symmetric biquadratic with R(x,x) = P(x), the exact
     quotient R1 = (P(x)P(x0) - R^2)/(x - x0)^2, and Q(x) = R1(x, x)."""
-    p0, p1, p2, p3, p4 = q.coeffs()
     x, y = MPoly.var(0, 2), MPoly.var(1, 2)
-    r = (
-        x * x * y * y * p4
-        + x * y * (x + y) * (p3 / 2)
-        + (x * x + y * y) * (p2 / 6)
-        + x * y * (2 * p2 / 3)
-        + (x + y) * (p1 / 2)
-        + p0
-    )
+    r = _biquadratic(x, y, *q.coeffs())
     num = MPoly.from_upoly(q.p, 0, 2) * MPoly.from_upoly(q.p, 1, 2) - r * r
     r1 = num.exact_divide((x - y) * (x - y))
-    qq = r1.to_upoly()
-    return r, r1, qq
+    return r, r1, r1.to_upoly()
+
+
+# -- the identities over Z[p0..p4] -------------------------------------------------
+
+_SWAP = (1, 0, 2, 3, 4, 5, 6)
+
+
+@dataclass(frozen=True)
+class GenericQuartic:
+    """P = p0 + p1 x + ... + p4 x^4 with indeterminate coefficients and its
+    Hermite data R, R1, Q and Jacobian (f, g), all in Q[x, y, p0, ..., p4]
+    (variables 0..6).  An identity between these holds for every quartic."""
+
+    p: MPoly
+    r: MPoly
+    r1: MPoly
+    q: MPoly
+    f: MPoly
+    g: MPoly
+
+    @classmethod
+    def build(cls) -> "GenericQuartic":
+        x, y, *ps = (MPoly.var(i, 7) for i in range(7))
+        p = sum((c * x**i for i, c in enumerate(ps)), MPoly(7))
+        r = _biquadratic(x, y, *ps)
+        r1 = (p * p.permute(_SWAP) - r * r).exact_divide((x - y) ** 2)
+        return cls(p, r, r1, r1(x, x, *ps), *jacobian_fg(*ps))
+
+    def identities(self):
+        """(label, lhs, rhs) of the four Hermite identities: the biquadratic
+        factor, the closed form of Q, disc Q = g^2 disc P, and
+        disc P = disc(xi^3 + f xi + g)."""
+        x, y = MPoly.var(0, 7), MPoly.var(1, 7)
+        p, d1 = self.p, self.p.deriv(0)
+        disc_p = discriminant_mpoly(p, 4)
+        return [
+            ("biquadratic factor identity",
+             self.r * self.r + self.r1 * (x - y) ** 2, p * p.permute(_SWAP)),
+            ("companion-quartic closed form",
+             self.q, p * d1.deriv(0) * Fraction(1, 3) - d1 * d1 * Fraction(1, 4)),
+            ("companion discriminant relation",
+             discriminant_mpoly(self.q, 4), self.g**2 * disc_p),
+            ("Jacobian preserves the discriminant",
+             disc_p, discriminant_mpoly(x**3 + x * self.f + self.g, 3)),
+        ]
+
+
+def discriminant_mpoly(f: MPoly, n: int) -> MPoly:
+    """Discriminant in variable 0 of f, taken of formal degree n, with
+    coefficients in variables 2.. (variable 1 must not occur).  The n x n
+    Bezoutian B(x, y) = (f(x) f'(y) - f(y) f'(x)) / (x - y) has determinant
+    lc^2 disc, lc the coefficient of x^n."""
+    k = f.n
+    swap = (1, 0) + tuple(range(2, k))
+    d = f.deriv(0)
+    bez = (f * d.permute(swap) - f.permute(swap) * d).exact_divide(
+        MPoly.var(0, k) - MPoly.var(1, k))
+    cells = [[{} for _ in range(n)] for _ in range(n)]
+    for e, v in bez.m.items():
+        cells[e[0]][e[1]][(0, 0) + e[2:]] = v
+    det = quadforms.det([[_canon(k, c, bez.den) for c in row] for row in cells])
+    lc = _canon(k, {(0, 0) + e[2:]: v for e, v in f.m.items() if e[0] == n}, f.den)
+    return det if lc == 1 else det.exact_divide(lc * lc)
 
 
 def _aj_image(coeffs, bx, w0, px, pw):

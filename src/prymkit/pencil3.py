@@ -73,6 +73,11 @@ class PencilParams:
     def p(self) -> UPoly:
         return self.quartic.p
 
+    @cached_property
+    def roots(self) -> tuple:
+        """The rational roots of P, ascending, found once per pencil."""
+        return tuple(rational_roots(self.p))
+
     @property
     def csq(self) -> Rat:
         return (self.ip.gamma - self.ip.delta) ** 2
@@ -433,16 +438,13 @@ def hyperelliptic_invariance(pp: PencilParams, pairing, place: UPoly) -> bool:
 
 
 def hyperelliptic_pairings(pp: PencilParams):
-    """All three pairings of the quartic's roots with their place data and
-    the product identity r_ab,cd * r_ac,bd * r_ad,bc = -4 [P, Q]."""
-    roots = rational_roots(pp.p)
-    if len(roots) != 4:
+    """All three pairings of the quartic's roots with their place data, and
+    the two sides of the product identity
+    r_ab,cd * r_ac,bd * r_ad,bc * lc(P)^3 = -4 [P, Q]."""
+    if len(pp.roots) != 4:
         raise ValueError("quartic does not split over the rationals")
-    a, b, c, d = roots
+    a, b, c, d = pp.roots
     combos = [((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))]
     rs = [r_commutator(p1[0], p1[1], p2[0], p2[1]) for p1, p2 in combos]
-    lead = pp.p.lead
-    prod = rs[0] * rs[1] * rs[2] * lead**3
-    if prod != bracket(pp.p, pp.q) * -4:
-        raise AssertionError("commutator product identity failed")
-    return list(zip(combos, rs))
+    prod = rs[0] * rs[1] * rs[2] * pp.p.lead**3
+    return list(zip(combos, rs)), prod, bracket(pp.p, pp.q) * -4

@@ -554,10 +554,10 @@ def convolve(a, b):
     return out
 
 
-def resultant_upoly_coeffs(f_coeffs, g_coeffs) -> UPoly:
+def resultant_upoly_coeffs(f_coeffs, g_coeffs, formal: tuple[int, int] | None = None) -> UPoly:
     """Resultant in the main variable of two polynomials whose coefficients
     are UPoly in a parameter t, with the x-degrees of f and g as formal
-    degrees.
+    degrees, or with formal=(m, n) as in resultant.
 
     f and g are scaled to integer coefficients and evaluated at the integer
     nodes t = 0..N, where N bounds the degree of the result.  Each value is
@@ -574,7 +574,9 @@ def resultant_upoly_coeffs(f_coeffs, g_coeffs) -> UPoly:
         g.pop()
     if not f or not g:
         return UPoly()
-    dm, dn = len(f) - 1, len(g) - 1
+    dm, dn = formal or (len(f) - 1, len(g) - 1)
+    if dm < len(f) - 1 or dn < len(g) - 1:
+        raise ValueError("formal degree below actual degree")
     hf = max(c.degree for c in f)
     hg = max(c.degree for c in g)
     bound = dm * hg + dn * hf

@@ -7,15 +7,15 @@ the file alone.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .rat import Rat, rat, rat_str, sqrt_exact
-from .upoly import UPoly, bracket, convolve, discriminant, gcd, resultant, valuation
-from .bpoly import MPoly
+from .upoly import (
+    UPoly, bracket, convolve, discriminant, gcd, resultant_upoly_coeffs, valuation,
+)
 from .factorq import squarefree_places
 from .invariants import IgusaClebsch, igusa_clebsch_upoly, wp_equal, wp_scale_equal
 from . import genus2 as g2
@@ -261,32 +261,9 @@ def suite_pencil(cfg: RunConfig) -> Certificate:
     s = _Suite("pencil", cfg)
     cp, pp = cfg.cover, cfg.pencil
 
-    # point-map identities on the reference quartic and on random quartics
-    rng = random.Random(20260810)
-    quartics = [pp.quartic]
-    while len(quartics) < 51:
-        cs = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(5)]
-        if cs[4] == 0:
-            continue
-        try:
-            quartics.append(hm.QuarticGenus1(UPoly(cs)))
-        except ValueError:
-            continue
-    ok_r = ok_q = ok_dq = ok_de = True
-    x, y = MPoly.var(0, 2), MPoly.var(1, 2)
-    for q in quartics:
-        r, r1, qq = hm.hermite_polys(q)
-        pb, pb0 = MPoly.from_upoly(q.p, 0, 2), MPoly.from_upoly(q.p, 1, 2)
-        ok_r &= r * r + r1 * ((x - y) * (x - y)) - pb * pb0 == 0
-        ok_q &= q.p * q.p.derivative().derivative() * Fraction(1, 3) - q.p.derivative() ** 2 * Fraction(1, 4) == qq
-        e = hm.jacobian_of_quartic(q)
-        ok_dq &= discriminant(qq) == e.g**2 * discriminant(q.p)
-        s_cubic = UPoly((e.g, e.f, 0, 1))
-        ok_de &= discriminant(q.p) == discriminant(s_cubic)
-    s.flag("biquadratic factor identity on 51 quartics", ok_r)
-    s.flag("companion-quartic closed form on 51 quartics", ok_q)
-    s.flag("companion discriminant relation on 51 quartics", ok_dq)
-    s.flag("Jacobian preserves the discriminant on 51 quartics", ok_de)
+    # the Hermite identities, once over Z[p0..p4] for every quartic
+    for label, lhs, rhs in hm.GenericQuartic.build().identities():
+        s.eq(label, lhs, rhs)
 
     # member classification at the marked parameter values
     s.eq("member at t=1", p3.classify_member(pp, 1).kind, "SmoothGenus3")
@@ -307,8 +284,8 @@ def suite_pencil(cfg: RunConfig) -> Certificate:
             "IrreducibleOneNodeGenus2",
         )
     s.eq("member at t=0", p3.classify_member(pp, 0).kind, "SmoothHyperelliptic")
-    pairings = p3.hyperelliptic_pairings(pp)
-    s.flag("commutator product identity r r' r'' = -4 [P,Q]", True)
+    pairings, prod, rhs = p3.hyperelliptic_pairings(pp)
+    s.eq("commutator product identity r r' r'' = -4 [P,Q]", prod, rhs)
     zero_place = UPoly.x()
     inv0 = any(
         rpoly(Fraction(0)) == 0 and p3.hyperelliptic_invariance(pp, pairing, zero_place)
@@ -326,30 +303,15 @@ def suite_pencil(cfg: RunConfig) -> Certificate:
         )
         s.flag(f"involution invariance at place {f.to_json()}", invf)
 
-    # the resultant degeneration identity, with the formal-degree convention
-    rng2 = random.Random(97)
-    dp = discriminant(pp.p)
-    sm = pp.s
-    checked = 0
-    ok_res = True
-    pairs = []
-    while len(pairs) < 18:
-        a, b = Fraction(rng2.randint(-9, 9)), Fraction(rng2.randint(1, 9))
-        pairs.append((a, b))
-    # include ratios that annihilate the cubic, forcing the resultant to vanish
-    for root, _ in squarefree_places(UPoly((sm.g, sm.f, 0, 1))):
-        if root.degree == 1:
-            pairs.append((-root.coeff(0) * 3, Fraction(3)))
-    for a, b in pairs:
-        f = pp.p * a + pp.q * b
-        if not f or f.degree < 1:
-            continue
-        lhs = resultant(f, br, formal=(f.degree, 6))
-        sab = sm.rhs(a / b)
-        rhs = Fraction(1, 2**8) * dp**3 * b**6 * sab**2
-        ok_res &= lhs == rhs
-        checked += 1
-    s.flag(f"resultant degeneration identity on {checked} parameter pairs", ok_res and checked >= 20)
+    # the resultant degeneration identity as a polynomial in u = a/b: the
+    # rows of u P + Q against [P,Q], with the formal degrees (4, 6)
+    rows = [UPoly((pp.q.coeff(i), pp.p.coeff(i))) for i in range(5)]
+    cubic = UPoly((pp.s.g, pp.s.f, 0, 1))
+    s.eq(
+        "resultant degeneration identity in u = a/b",
+        resultant_upoly_coeffs(rows, br.c, formal=(4, 6)),
+        cubic * cubic * (discriminant(pp.p) ** 3 * Fraction(1, 2**8)),
+    )
 
     # moduli-frame member equals the base-frame member
     for t in (1, Fraction(2, 3), 5):
@@ -385,8 +347,8 @@ def suite_genus5(cfg: RunConfig) -> Certificate:
     s = _Suite("genus5", cfg)
     cp, pp, coeffs = cfg.cover, cfg.pencil, cfg.coeffs
     qt = g5.build_quadrics(pp, 1)
-    loc = qt.locus  # raises if the block factorization fails
-    s.flag("rank-locus block factorization", True)
+    loc = qt.locus
+    s.eq("rank-locus block factorization", loc.det5, loc.block)
     s.eq(
         "rational point on the residual conic",
         loc.residual_conic(-2, 1, 1),
@@ -460,8 +422,6 @@ def suite_genus5(cfg: RunConfig) -> Certificate:
 
 
 def _conic_resultant(pp: p3.PencilParams) -> UPoly:
-    from .upoly import resultant_upoly_coeffs
-
     g, d = pp.ip.gamma, pp.ip.delta
     q1, q2 = pp.conic(g, g), pp.conic(d, d)
     return resultant_upoly_coeffs(q1.upoly_rows(), q2.upoly_rows())
@@ -508,10 +468,10 @@ def suite_heights(cfg: RunConfig) -> Certificate:
         {f"{a},{b}": v for (a, b), v in sorted(got.items())},
         {f"{a},{b}": v for (a, b), v in sorted(expected.items())},
     )
-    twisted_delta_places = [f for f, _ in squarefree_places(ss.model.delta)]
+    delta = ss.model.delta  # deg rad(Delta) counts its places with their degrees
     s.eq(
         "section model keeps the twelve nodal places",
-        sum(f.degree for f in twisted_delta_places),
+        delta.degree - gcd(delta, delta.derivative()).degree,
         12,
     )
     return s.done()

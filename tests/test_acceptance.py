@@ -189,7 +189,8 @@ def test_criterion_06_pencil_members(pencil, rosenhain):
         assert classify_place(pencil, place).kind == "IrreducibleOneNodeGenus2"
     # hyperelliptic members: t = 0 with the exact involution invariance
     assert classify_member(pencil, 0).kind == "SmoothHyperelliptic"
-    pairs = hyperelliptic_pairings(pencil)
+    pairs, prod, rhs = hyperelliptic_pairings(pencil)
+    assert prod == rhs  # r r' r'' lc(P)^3 = -4 [P,Q]
     assert any(
         rp(Fraction(0)) == 0 and hyperelliptic_invariance(pencil, pairing, UPoly.x())
         for pairing, rp in pairs
@@ -249,7 +250,8 @@ def test_criterion_07_resultant_identity(pencil):
 
 def test_criterion_08_genus5_suite(pencil, cover):
     qt1 = build_quadrics(pencil, Fraction(1))
-    gamma_locus(qt1)  # asserts the 5x5 block factorization internally
+    loc = gamma_locus(qt1)
+    assert loc.det5 == loc.block  # the 5x5 block factorization
     pts = rational_points8(qt1)
     assert len(pts) == 8
     assert all(all(v == 0 for v in qt1.evaluate(*p)) for p in pts)

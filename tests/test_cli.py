@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -154,3 +158,30 @@ def test_suite_subset_in_canonical_order(capsys):
     assert code == 0
     suites = [json.loads(l)["suite"] for l in out.strip().splitlines()]
     assert suites == ["richelot", "identification"]
+
+
+def test_no_suite_draws_random_numbers(monkeypatch):
+    import random
+
+    from prymkit import verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite drew a random number")
+
+    assert not hasattr(verify, "random")
+    for name in ("__init__", "seed", "random", "getrandbits"):
+        monkeypatch.setattr(random.Random, name, refuse)
+    cfg = verify.RunConfig((Fraction(9), Fraction(2), Fraction(8)), Fraction(3), Fraction(4))
+    assert [c.status for c in verify.run_suites(cfg)] == ["pass"] * 6
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # the reader is gone before the first write, as with `prymkit fibers | head -c 0`
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "prymkit.cli", "fibers"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prymkit.upoly import UPoly
 from prymkit.fibration import (
@@ -14,6 +15,7 @@ from prymkit.fibration import (
     build_shioda,
     classify_fibers,
     fiber_inventory,
+    irreducible_reports,
     mu_nu_kappa,
     pullback_double_base,
     sections_from_aj,
@@ -133,6 +135,10 @@ def test_classification_table_small_cases():
     assert cusp[(Fraction(0), Fraction(1))] == ("II", 2)
     assert cusp["inf"] == ("II*", 22)
 
+    # y^2 = x^3 + t x^2 + t^3 x: (v(c4), v(c6), v(Delta)) = (2, 3, 8), type I2*
+    star2 = types_of(WeierstrassFamily(t, UPoly((0, 0, 0, 1)), UPoly(), var="t"))
+    assert star2[(Fraction(0), Fraction(1))] == ("I2*", 8)
+
     # y^2 = x^3 + t^2 x^2 + t x: v(c4) = 1 and v(Delta) = 3 give type III
     third = types_of(WeierstrassFamily(UPoly((0, 0, 1)), t, UPoly(), var="t"))
     assert third[(Fraction(0), Fraction(1))][0] == "III"
@@ -163,7 +169,9 @@ def test_classification_matches_direct_fiber_counting(cover, pencil):
         build_pencil_dual(pencil),
     )
     for fam in fams:
-        reports = classify_fibers(fam)
+        # one report per irreducible place, so that every rational place is
+        # tested, also one that the basis groups into an element of higher degree
+        reports = irreducible_reports(classify_fibers(fam))
         for r in reports:
             if r.place is INF_PLACE or r.place.degree != 1:
                 continue
@@ -207,3 +215,140 @@ def test_torsion_abscissas(pencil):
     # on the section model the nonzero 2-torsion abscissas are -8(M +- sqrt(norm) P)
     assert ss.t2.x.num == (m + p * sn) * -8
     assert ss.t3.x.num == (m - p * sn) * -8
+
+
+# -- the gcd-free basis against sympy ----------------------------------------------------
+
+MODULI = (
+    ("9,2,8", "3", "4"),
+    ("9,16,36", "3", "24"),
+    ("25,8,18", "5", "12"),
+    ("49,5,45", "7", "15"),
+    ("49,7,28", "7", "14"),
+    ("49,10,40", "7", "20"),
+    ("49,18,32", "7", "24"),
+)
+
+
+def _sympy_poly(p, t):
+    import sympy
+
+    return sympy.Poly([sympy.Rational(a.numerator, a.denominator) for a in reversed(p.c)] or [0], t)
+
+
+def _sympy_valuation(c, f):
+    if c.is_zero:
+        return 1 << 20
+    v = 0
+    while True:
+        q, r = c.div(f)
+        if not r.is_zero:
+            return v
+        c, v = q, v + 1
+
+
+def _basis_problems(fam):
+    """Check the finite reports of classify_fibers as a gcd-free basis of the
+    bad places against sympy's factorization; returns a list of problems."""
+    import sympy
+
+    from prymkit.fibration import _kodaira_from_valuations
+    from prymkit.upoly import gcd as ugcd
+
+    t = sympy.Symbol("t")
+    reports = [r for r in classify_fibers(fam) if r.place is not INF_PLACE]
+    out = []
+    prod = UPoly.one()
+    for i, r in enumerate(reports):
+        b = r.place
+        if b.lead != 1 or r.mult != b.degree:
+            out.append(f"{b}: not monic or mult {r.mult} != degree")
+        if ugcd(b, b.derivative()).degree:
+            out.append(f"{b}: not squarefree")
+        for other in reports[i + 1:]:
+            if ugcd(b, other.place).degree:
+                out.append(f"{b}, {other.place}: not coprime")
+        prod = prod * b**r.ord_delta
+        c4, c6, delta = (_sympy_poly(p, t) for p in (fam.c4(), fam.c6(), fam.delta))
+        _, factors = sympy.factor_list(_sympy_poly(b, t).as_expr(), t)
+        triples = set()
+        for f, _ in factors:
+            f = sympy.Poly(f, t)
+            triples.add(tuple(_sympy_valuation(c, f) for c in (c4, c6, delta)))
+        if len(triples) != 1:
+            out.append(f"{b}: factors with different valuations {triples}")
+            continue
+        (vc4, vc6, vd), = triples
+        if vd != r.ord_delta or _kodaira_from_valuations(vc4, vc6, vd) != r.kodaira:
+            out.append(f"{b}: report ({r.kodaira}, {r.ord_delta}) but valuations {triples}")
+    if prod != fam.delta.monic():
+        out.append("the basis does not reassemble Delta")
+    return out
+
+
+@pytest.mark.parametrize("moduli", MODULI, ids=[m[0].replace(",", "_") for m in MODULI])
+def test_fiber_basis_against_sympy(moduli):
+    pytest.importorskip("sympy")
+    from prymkit.verify import RunConfig
+
+    lam, k15, k23 = moduli
+    lambdas = tuple(Fraction(v) for v in lam.split(","))
+    for variant in ("k15", "k23"):
+        cfg = RunConfig(lambdas, Fraction(k15), Fraction(k23), variant)
+        for name, fam in cfg.families.items():
+            assert _basis_problems(fam) == [], (moduli, variant, name)
+
+
+SMALL = (UPoly((0, 1)), UPoly((-1, 1)), UPoly((2, 1)), UPoly((1, 0, 1)), UPoly((-2, 0, 1)))
+
+
+@st.composite
+def _small_products(draw, max_degree):
+    acc = UPoly.const(draw(st.sampled_from((1, -1, 2, Fraction(1, 3)))))
+    for f in draw(st.lists(st.sampled_from(SMALL), max_size=6)):
+        if acc.degree + f.degree <= max_degree:
+            acc = acc * f
+    return acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_products(4), _small_products(8), _small_products(12), st.booleans())
+def test_fiber_basis_on_random_products(a2, a4, a6, drop_a6):
+    pytest.importorskip("sympy")
+    try:
+        fam = WeierstrassFamily(a2, a4, UPoly() if drop_a6 else a6)
+    except ValueError:
+        return  # identically singular
+    assert _basis_problems(fam) == []
+
+
+def test_irreducible_reports_are_the_factored_reports(cover, pencil):
+    """Splitting the basis reports gives, place by place and in order, the
+    reports of classifying each irreducible factor of Delta directly."""
+    from prymkit.factorq import squarefree_places
+    from prymkit.fibration import _kodaira_from_valuations
+    from prymkit.upoly import valuation
+
+    for fam in (build_shioda(cover), build_kummer12(cover), build_dual_kummer(cover),
+                build_pencil_jac(pencil), build_pencil_dual(pencil)):
+        c4, c6 = fam.c4(), fam.c6()
+        direct = [
+            (f, _kodaira_from_valuations(valuation(c4, f), valuation(c6, f), m), m, f.degree)
+            for f, m in squarefree_places(fam.delta)
+        ]
+        basis = classify_fibers(fam)
+        split = irreducible_reports(basis)
+        finite = [(r.place, r.kodaira, r.ord_delta, r.mult) for r in split[:len(direct)]]
+        assert finite == direct
+        assert split[len(direct):] == [r for r in basis if r.place is INF_PLACE]
+
+
+def test_basis_splits_a_squarefree_component_by_type():
+    # Delta has t (t - 1) to the second power, but c4 vanishes only at t = 0:
+    # type II there and I2 at t = 1, two basis elements from one Yun component
+    t = UPoly.x()
+    fam = WeierstrassFamily(t, t * t - t, t * (t - 1) ** 2)
+    got = {(r.place, r.kodaira, r.ord_delta) for r in classify_fibers(fam)
+           if r.place is not INF_PLACE and r.ord_delta == 2}
+    assert got == {(t, "II", 2), (t - 1, "I2", 2)}
+    assert _basis_problems(fam) == []

@@ -69,7 +69,8 @@ def test_marked_points(qt1):
 
 
 def test_gamma_locus_structure(qt1):
-    loc = gamma_locus(qt1)  # block factorization asserted inside
+    loc = gamma_locus(qt1)
+    assert loc.det5 == loc.block
     assert loc.cubic == loc.residual_conic * loc.line
     assert loc.residual_conic(-2, 1, 1) == 0
     assert loc.conic_minus(1, 2, Fraction(1, 8)) == 0

@@ -7,9 +7,11 @@ from prymkit.upoly import UPoly, bracket, discriminant
 from prymkit.bpoly import MPoly
 from prymkit.hermite import (
     EllipticW,
+    GenericQuartic,
     QuarticGenus1,
     abel_jacobi,
     correspondence,
+    discriminant_mpoly,
     ec_add,
     ec_double,
     ec_mul,
@@ -214,3 +216,58 @@ def test_j_invariant_special_values():
 def test_j_from_cubic_matches_short_form():
     e = EllipticW(Fraction(-4), Fraction(1))
     assert j_from_cubic(Fraction(0), e.f, e.g) == j_invariant(e)
+
+
+# -- the Hermite identities over Z[p0..p4] -------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def generic():
+    return GenericQuartic.build()
+
+
+def test_generic_identities_hold(generic):
+    ids = generic.identities()
+    assert [label for label, _, _ in ids] == [
+        "biquadratic factor identity",
+        "companion-quartic closed form",
+        "companion discriminant relation",
+        "Jacobian preserves the discriminant",
+    ]
+    for label, lhs, rhs in ids:
+        assert lhs and lhs == rhs, label
+
+
+def test_generic_data_specializes_to_each_quartic(generic):
+    rng = random.Random(5)
+    xb, yb = MPoly.var(0, 2), MPoly.var(1, 2)
+    for _ in range(10):
+        q = _random_quartic(rng)
+        ps = q.coeffs()
+        r, r1, qq = hermite_polys(q)
+        assert generic.r(xb, yb, *ps) == r
+        assert generic.r1(xb, yb, *ps) == r1
+        e = jacobian_of_quartic(q)
+        assert (generic.f(0, 0, *ps), generic.g(0, 0, *ps)) == (e.f, e.g)
+        # the Bezoutian discriminant specializes to the resultant-based one
+        assert discriminant_mpoly(generic.p, 4)(0, 0, *ps) == discriminant(q.p)
+        assert discriminant_mpoly(generic.q, 4)(0, 0, *ps) == discriminant(qq)
+
+
+def test_perturbed_generic_data_breaks_its_identity(generic):
+    from dataclasses import replace
+
+    from prymkit.jsonio import canonical
+
+    def broken(gq):
+        return [label for label, lhs, rhs in gq.identities() if canonical(lhs) != canonical(rhs)]
+
+    # one coefficient of R: the x^2 y^2 p0 term
+    bump = MPoly(7, {(2, 2, 1, 0, 0, 0, 0): 1})
+    assert broken(replace(generic, r=generic.r + bump)) == ["biquadratic factor identity"]
+    # one coefficient of g: the p2^3 term
+    bump = MPoly(7, {(0, 0, 0, 0, 3, 0, 0): Fraction(1, 27)})
+    assert broken(replace(generic, g=generic.g + bump)) == [
+        "companion discriminant relation",
+        "Jacobian preserves the discriminant",
+    ]

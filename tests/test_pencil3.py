@@ -244,10 +244,11 @@ def test_q1_equals_q2_only_when_parameters_collide(pencil):
 
 
 def test_commutator_product_identity(pencil):
-    pairs = hyperelliptic_pairings(pencil)
+    pairs, prod, rhs = hyperelliptic_pairings(pencil)
     rs = [rp for _, rp in pairs]
     lead = pencil.p.lead
     assert rs[0] * rs[1] * rs[2] * lead**3 == bracket(pencil.p, pencil.q) * -4
+    assert (prod, rhs) == (rs[0] * rs[1] * rs[2] * lead**3, bracket(pencil.p, pencil.q) * -4)
 
 
 def test_hyperelliptic_locus(pencil):
@@ -258,7 +259,7 @@ def test_hyperelliptic_locus(pencil):
 
 
 def test_involution_invariance_at_zero(pencil):
-    pairs = hyperelliptic_pairings(pencil)
+    pairs, _, _ = hyperelliptic_pairings(pencil)
     zero = UPoly.x()
     hits = [
         pairing for pairing, rp in pairs if rp(Fraction(0)) == 0
@@ -273,7 +274,7 @@ def test_involution_invariance_at_zero(pencil):
 
 
 def test_involution_invariance_at_quadratic_places(pencil):
-    pairs = hyperelliptic_pairings(pencil)
+    pairs, _, _ = hyperelliptic_pairings(pencil)
     for place_coeffs in ((-12, 0, 1), (12, 0, 1)):
         place = UPoly(place_coeffs)
         ok = False
@@ -284,7 +285,7 @@ def test_involution_invariance_at_quadratic_places(pencil):
 
 
 def test_invariance_fails_off_locus(pencil):
-    pairs = hyperelliptic_pairings(pencil)
+    pairs, _, _ = hyperelliptic_pairings(pencil)
     place = UPoly((-1, 1))  # t = 1 is not hyperelliptic
     assert not any(
         hyperelliptic_invariance(pencil, pairing, place) for pairing, _ in pairs
@@ -295,3 +296,19 @@ def test_smooth_member_count_is_twelve(pencil):
     # the degenerate members: 4 reducible + 8 one-node = 12, each place order 2
     places = squarefree_places(pencil.delta_z)
     assert sum(f.degree for f, _ in places) == 12
+
+
+def test_roots_are_found_once_per_pencil(cover, monkeypatch):
+    from prymkit import pencil3
+    from prymkit.fibration import sections_from_aj
+    from prymkit.genus5 import build_quadrics, rational_points8
+
+    calls = []
+    real = pencil3.rational_roots
+    monkeypatch.setattr(pencil3, "rational_roots", lambda p: calls.append(p) or real(p))
+    pp = PencilParams.from_cover(cover, "k15")
+    assert pp.roots == (-4, -3, 3, 4)
+    sections_from_aj(pp)
+    rational_points8(build_quadrics(pp, 1))
+    hyperelliptic_pairings(pp)
+    assert calls == [pp.p]

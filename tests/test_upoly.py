@@ -218,6 +218,22 @@ def test_resultant_upoly_coeffs_matches_sympy(dm, dn, vanishing):
     assert sympy.expand(_sym(got, ts) - expect) == 0
 
 
+@pytest.mark.parametrize("dm, dn, extra", [(2, 3, (0, 1)), (3, 2, (1, 0)), (2, 2, (0, 2))])
+def test_resultant_upoly_coeffs_formal_degrees(dm, dn, extra):
+    # formal degrees above the actual ones: the value at each node is the
+    # Sylvester determinant of the padded forms, as resultant(formal=...)
+    rng = random.Random(dm * 100 + dn * 10 + sum(extra))
+    f = [_random_upoly(rng, 2) for _ in range(dm + 1)]
+    g = [_random_upoly(rng, 1) for _ in range(dn + 1)]
+    formal = (dm + extra[0], dn + extra[1])
+    got = resultant_upoly_coeffs(f, g, formal=formal)
+    for t in (Fraction(0), Fraction(2), Fraction(-3, 2), Fraction(5)):
+        ft, gt = UPoly([c(t) for c in f]), UPoly([c(t) for c in g])
+        assert got(t) == resultant(ft, gt, formal=formal)
+    with pytest.raises(ValueError, match="formal degree"):
+        resultant_upoly_coeffs(f, g, formal=(dm - 1, dn))
+
+
 def test_bracket_basics():
     p = x**4 - 3 * x**2 + 1
     assert bracket(p, p) == UPoly()
