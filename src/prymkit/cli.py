@@ -117,7 +117,10 @@ def cmd_fibers(args, out) -> int:
 
 
 def cmd_invariants(args, out) -> int:
-    coeffs = [rat(str(v)) for v in json.loads(args.curve)]
+    data = json.loads(args.curve)
+    if not isinstance(data, list):
+        raise ValueError("--curve expects a JSON array of rationals")
+    coeffs = [rat(str(v)) for v in data]
     f = UPoly(coeffs)
     if f.degree not in (5, 6):
         raise ValueError("curve polynomial must have degree 5 or 6")

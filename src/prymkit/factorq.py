@@ -409,30 +409,3 @@ def rational_roots(p: UPoly):
         if f.degree == 1:
             roots.append(-f.coeff(0))
     return sorted(roots)
-
-
-def is_irreducible(p: UPoly) -> bool:
-    if p.degree <= 0:
-        return False
-    places = squarefree_places(p)
-    return len(places) == 1 and places[0][1] == 1 and places[0][0].degree == p.degree
-
-
-def sqrt_poly(p: UPoly):
-    """Return q with q^2 = p, or None."""
-    if not p:
-        return UPoly()
-    if p.degree % 2:
-        return None
-    from .rat import sqrt_exact
-
-    lc = sqrt_exact(p.lead)
-    if lc is None:
-        return None
-    places = yun_squarefree(p)
-    q = UPoly.const(lc)
-    for g, mult in places:
-        if mult % 2:
-            return None
-        q = q * g ** (mult // 2)
-    return q if q * q == p else None

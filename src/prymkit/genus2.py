@@ -198,7 +198,7 @@ class CoverPoint:
 
 
 def igusa_clebsch(c: Genus2Curve) -> IgusaClebsch:
-    return _ic_sextic(c.f.c, c.disc)
+    return _ic_sextic(c.f, c.disc)
 
 
 # -- Richelot construction ---------------------------------------------------------

@@ -6,17 +6,28 @@ form with itself and normalized so that, for a split sextic
 lc * prod (x - r_i), they agree with the classical symmetric-function
 expressions in the root differences; I10 is the discriminant.
 
-The transvectants run over Z: a rational sextic f = F/D is scaled to the
-integer form F once, and I_k(f) = I_k(F)/D^k.  A sextic with coefficients
-in Q[t] is evaluated at integer nodes, and each invariant is interpolated
-from its values there.
+Everything runs over Z.  A transvectant of orders (m, n, r) reads a sparse
+bilinear table, built once per order triple, of the entries (s, p, q, w)
+with output[s] += w f[p] g[q].  A rational sextic f = F/D is taken as its
+integer form F; the unnormalized Clebsch invariants A, B and C of F give
+I2, I4 and I6 as integer numerators over the fixed denominators
+
+    I2 = -A / 4320,
+    I4 = (25 B - 96 A^2) / 35831808000,                (2^17 3^7 5^3)
+    I6 = (6912 A^3 - 2400 A B + 125 C) / 111451255603200000,
+                                                       (2^26 3^12 5^5)
+
+and I_k(f) = I_k(F)/D^k is one Fraction per invariant.  A sextic with
+coefficients in Q[t] is evaluated at integer nodes, and each numerator is
+interpolated from its values there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, perm
+from functools import cache
+from math import comb, perm
 
 from .rat import Rat, rat, rat_str
 from .upoly import (
@@ -25,15 +36,26 @@ from .upoly import (
     _int_horner,
     _int_interpolate,
     _int_rows,
-    _int_scaled,
     discriminant,
     resultant_upoly_coeffs,
 )
 
 
-def _partial(f, m: int, a: int, b: int):
-    """d^a/dx^a d^b/dy^b of the form sum f_j x^j y^(m-j), in one pass."""
-    return [f[j + a] * perm(j + a, a) * perm(m - j - a, b) for j in range(m - a - b + 1)]
+@cache
+def _table(m: int, n: int, r: int):
+    """The entries (s, p, q, w) of the unnormalized r-th transvectant of
+    orders m and n: output[s] += w f[p] g[q], nonzero w only.  The k-th
+    term of the definition below pairs d^r f/dx^(r-k) dy^k at x^p with
+    d^r g/dx^k dy^(r-k) at x^q, with the falling-factorial weight of each."""
+    acc = {}
+    for k in range(r + 1):
+        sign = -1 if k % 2 else 1
+        for p in range(r - k, m - k + 1):
+            wf = sign * comb(r, k) * perm(p, r - k) * perm(m - p, k)
+            for q in range(k, n - r + k + 1):
+                key = (p + q - r, p, q)
+                acc[key] = acc.get(key, 0) + wf * perm(q, k) * perm(n - q, r - k)
+    return tuple((s, p, q, w) for (s, p, q), w in acc.items() if w)
 
 
 def transvectant(f, g, m: int, n: int, r: int):
@@ -46,44 +68,25 @@ def transvectant(f, g, m: int, n: int, r: int):
     if r > m or r > n:
         raise ValueError("transvectant order exceeds form orders")
     total = [0] * (m + n - 2 * r + 1)
-    for k in range(r + 1):
-        dg = _partial(g, n, k, r - k)
-        w = -comb(r, k) if k % 2 else comb(r, k)
-        for i, x in enumerate(_partial(f, m, r - k, k)):
-            if x:
-                x *= w
-                for j, y in enumerate(dg):
-                    total[i + j] += x * y
+    for s, p, q, w in _table(m, n, r):
+        total[s] += w * f[p] * g[q]
     return total
 
 
-def _norm(m: int, n: int, r: int) -> Fraction:
-    """The normalizing factor of the r-th transvectant of orders m and n."""
-    return Fraction(factorial(m - r) * factorial(n - r), factorial(m) * factorial(n))
-
-
-# the factors of the unnormalized transvectants, collected into A, B and C
-_N4 = _norm(6, 6, 4)
-_KA = _norm(6, 6, 6)
-_KB = _norm(4, 4, 4) * _N4**2
-_KC = _norm(4, 4, 4) * _norm(4, 4, 2) * _N4**3
+# I2, I4 and I6 are the numerators of _i246 over these denominators
+_DENOMS = (4320, 35831808000, 111451255603200000)
 
 
 def _i246(f):
-    """(I2, I4, I6) of the binary sextic with int coefficients f = [a0..a6],
-    from the Clebsch invariants A = (f,f)_6, B = (i,i)_4 and C = (i,(i,i)_2)_4
-    with i = (f,f)_4.  The transvectants are unnormalized, so their factors
-    are collected into A, B and C once."""
-    u = transvectant(f, f, 6, 6, 4)  # i = _N4 u
-    v = transvectant(u, u, 4, 4, 2)  # (i,i)_2 = _norm(4, 4, 2) _N4^2 v
-    a = _KA * transvectant(f, f, 6, 6, 6)[0]
-    b = _KB * transvectant(u, u, 4, 4, 4)[0]
-    c = _KC * transvectant(u, v, 4, 4, 4)[0]
-    return (
-        -120 * a,
-        -720 * a**2 + 6750 * b,
-        8640 * a**3 - 108000 * a * b + 202500 * c,
-    )
+    """Integer numerators of (I2, I4, I6), over _DENOMS, of the binary
+    sextic with int coefficients f = [a0..a6], from the unnormalized
+    transvectants A = (f,f)_6, B = (u,u)_4 and C = (u,(u,u)_2)_4 with
+    u = (f,f)_4."""
+    u = transvectant(f, f, 6, 6, 4)
+    a = transvectant(f, f, 6, 6, 6)[0]
+    b = transvectant(u, u, 4, 4, 4)[0]
+    c = transvectant(u, transvectant(u, u, 4, 4, 2), 4, 4, 4)[0]
+    return -a, 25 * b - 96 * a * a, (6912 * a * a - 2400 * b) * a + 125 * c
 
 
 @dataclass(frozen=True)
@@ -128,17 +131,20 @@ def _disc_sextic_rational(p: UPoly, disc=None):
 
 
 def igusa_clebsch(coeffs, disc=None) -> IgusaClebsch:
-    """Invariants of a binary sextic with rational coefficients [a0..a6]; a
-    shorter list is padded with zeros.  disc, when given, is the
-    discriminant of the polynomial of coeffs, which gives I10."""
-    cs = [rat(c) for c in coeffs]
-    if len(cs) > 7:
+    """Invariants of a binary sextic, given as a UPoly of degree at most 6
+    or as its rational coefficients [a0..a6] (a shorter list is padded with
+    zeros).  disc, when given, is the discriminant of the polynomial, which
+    gives I10."""
+    f = coeffs if isinstance(coeffs, UPoly) else UPoly(coeffs)
+    if f.degree > 6:
         raise ValueError("need at most 7 coefficients (a0..a6)")
-    cs += [Fraction(0)] * (7 - len(cs))
-    den, ints = _int_scaled(cs)
-    i2, i4, i6 = _i246(ints)
+    n2, n4, n6 = _i246(list(f.n) + [0] * (6 - f.degree))
+    d2 = f.d * f.d
     return IgusaClebsch(
-        i2 / den**2, i4 / den**4, i6 / den**6, _disc_sextic_rational(UPoly(cs), disc)
+        Fraction(n2, _DENOMS[0] * d2),
+        Fraction(n4, _DENOMS[1] * d2 * d2),
+        Fraction(n6, _DENOMS[2] * d2 * d2 * d2),
+        _disc_sextic_rational(f, disc),
     )
 
 
@@ -147,9 +153,10 @@ def igusa_clebsch_upoly(coeffs):
 
     Returns (I2, I4, I6, I10) as UPoly; requires actual degree 6 in x.
     I_k has degree at most k h in t, h the largest degree of a coefficient,
-    so the integer copy F = D f is evaluated at t = 0..6h, I_k(F) is taken
-    at the first k h + 1 nodes and interpolated there, and the division by
-    D^k is made once.  I10 comes from the resultant of f and f_x over Q[t].
+    so the integer copy F = D f is evaluated at t = 0..6h, the numerator of
+    I_k(F) is taken at the first k h + 1 nodes and interpolated there, and
+    the division by its denominator and D^k is made once.  I10 comes from
+    the resultant of f and f_x over Q[t].
     """
     cs = [c if isinstance(c, UPoly) else UPoly.const(c) for c in coeffs]
     if len(cs) < 7:
@@ -161,10 +168,8 @@ def igusa_clebsch_upoly(coeffs):
     nodes = [_i246([_int_horner(r, t) for r in rows]) for t in range(6 * h + 1)]
     out = []
     for k, w in enumerate((2, 4, 6)):
-        values = [node[k] for node in nodes[: w * h + 1]]
-        vden, ints = _int_scaled(values)
-        acc, scale = _int_interpolate(ints)
-        out.append(_from_ints(acc, scale * vden * den**w))
+        acc, scale = _int_interpolate([node[k] for node in nodes[: w * h + 1]])
+        out.append(_from_ints(acc, scale * _DENOMS[k] * den**w))
     dcs = [cs[i + 1] * (i + 1) for i in range(6)]
     i10 = -resultant_upoly_coeffs(cs, dcs).exact_div(cs[6])
     return (*out, i10)

@@ -366,12 +366,6 @@ def _z_mul(a, b):
     return _z_trim(out)
 
 
-def _int_scaled(coeffs):
-    """(D, ints) with D the lcm of the denominators and ints = D * coeffs."""
-    den = lcm(*(a.denominator for a in coeffs))
-    return den, [a.numerator * (den // a.denominator) for a in coeffs]
-
-
 def _int_prem(a, b):
     """Exact pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b of ascending
     int lists; b must be nonzero.  Returns [] for a zero remainder."""
@@ -496,12 +490,14 @@ def resultant(p: UPoly, q: UPoly, formal: tuple[int, int] | None = None) -> Frac
 
 
 def discriminant(p: UPoly) -> Fraction:
-    """(-1)^{d(d-1)/2} resultant(p, p') / lead(p)."""
-    d = p.degree
+    """(-1)^{d(d-1)/2} resultant(p, p') / lead(p), over Z: for p = N/D of
+    degree d, disc(p) = disc(N)/D^(2d-2), and disc(N) is the integer
+    resultant of N and its integer derivative, divided exactly by lc(N)."""
+    n, d = p.n, p.degree
     if d < 1:
         raise ValueError("discriminant needs degree >= 1")
-    r = resultant(p, p.derivative())
-    return (-1) ** (d * (d - 1) // 2) * r / p.lead
+    r = _int_resultant(n, [i * n[i] for i in range(1, d + 1)]) // n[-1]
+    return Fraction(-r if d * (d - 1) // 2 % 2 else r, p.d ** (2 * d - 2))
 
 
 def bracket(p: UPoly, q: UPoly) -> UPoly:

@@ -1,3 +1,11 @@
+import os
+import sys
+
+# write no bytecode under src/ or perfbench/, here or in test subprocesses:
+# a cached prymkit changes the peak memory that perfbench/run.py measures
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
 from fractions import Fraction
 
 import pytest

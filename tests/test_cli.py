@@ -153,6 +153,13 @@ def test_invariants_rejects_non_squarefree_sextic(capsys, curve):
     assert (code, out, err) == (2, "", "error: curve polynomial is not squarefree\n")
 
 
+@pytest.mark.parametrize("curve", ["5", "null", '"123456"'])
+def test_invariants_rejects_a_curve_that_is_not_an_array(capsys, curve):
+    # a JSON string would otherwise be read digit by digit as a polynomial
+    code, out, err = run_cli(capsys, "invariants", "--curve", curve)
+    assert (code, out, err) == (2, "", "error: --curve expects a JSON array of rationals\n")
+
+
 def test_suite_subset_in_canonical_order(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "identification", "--suite", "richelot")
     assert code == 0

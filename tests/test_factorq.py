@@ -5,9 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from prymkit.upoly import UPoly, gcd
 from prymkit.factorq import (
-    is_irreducible,
     rational_roots,
-    sqrt_poly,
     squarefree_places,
     yun_squarefree,
 )
@@ -76,10 +74,10 @@ def test_squarefree_reassembly(cs):
 
 
 def test_irreducibility_certificates():
-    assert is_irreducible(x**2 + 1)
-    assert is_irreducible(x**4 + x + 1)
-    assert not is_irreducible(x**4 + 4)
-    assert not is_irreducible((x - 1) * (x + 1))
+    assert squarefree_places(x**2 + 1) == [(x**2 + 1, 1)]
+    assert squarefree_places(x**4 + x + 1) == [(x**4 + x + 1, 1)]
+    assert squarefree_places(x**4 + 4) == [(x**2 - 2 * x + 2, 1), (x**2 + 2 * x + 2, 1)]
+    assert squarefree_places((x - 1) * (x + 1)) == [(x - 1, 1), (x + 1, 1)]
 
 
 def test_rational_roots_by_factorization():
@@ -102,9 +100,3 @@ def test_yun_multiplicities():
     assert out[("1", "0", "1")] == 2
     parts = yun_squarefree(p)
     assert sorted(m for _, m in parts) == [1, 2, 3]
-
-
-def test_sqrt_poly():
-    p = ((x**2 - 3) * (x + 1)) ** 2 * 9
-    assert sqrt_poly(p) in ((x**2 - 3) * (x + 1) * 3, (x**2 - 3) * (x + 1) * -3)
-    assert sqrt_poly(p * x) is None

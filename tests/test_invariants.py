@@ -301,16 +301,20 @@ def test_transvectant_matches_the_definition():
 
     x, y = sympy.symbols("x y")
     rng = random.Random(23)
-    for m in (6, 4):
+    # unequal orders tell the roles of f and g apart
+    for m, n in ((6, 6), (4, 4), (6, 4), (4, 6), (5, 3), (2, 6)):
         f = [rng.randint(-30, 30) for _ in range(m + 1)]
-        g = [rng.randint(-30, 30) for _ in range(m + 1)]
-        for r in range(m + 1):
-            for a, b in ((f, f), (f, g)):
-                got = transvectant(a, b, m, m, r)
+        g = [rng.randint(-30, 30) for _ in range(n + 1)]
+        pairs = ((f, f), (f, g)) if m == n else ((f, g),)
+        for r in range(min(m, n) + 1):
+            for a, b in pairs:
+                got = transvectant(a, b, m, n, r)
                 assert all(type(v) is int for v in got)
-                want = _sym_transvectant(_sym_form(a, m, (x, y)), _sym_form(b, m, (x, y)), r, x, y)
-                order = 2 * m - 2 * r
+                want = _sym_transvectant(_sym_form(a, m, (x, y)), _sym_form(b, n, (x, y)), r, x, y)
+                order = m + n - 2 * r
                 assert got == [want.coeff_monomial(x**i * y ** (order - i)) for i in range(order + 1)]
+    with pytest.raises(ValueError):
+        transvectant([1, 0, 1], [1] * 7, 2, 6, 3)
 
 
 def _binary_discriminant(f, x):
@@ -329,14 +333,23 @@ def test_igusa_clebsch_matches_sympy_transvectants():
     sympy = pytest.importorskip("sympy")
     x, y = sympy.symbols("x y")
     rng = random.Random(31)
+    forms = []
     for deg in range(7):
         for _ in range(2):
             f = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)]
             f.append(Fraction(rng.choice((-7, -3, -1, 1, 2, 5)), rng.randint(1, 6)))
-            got = igusa_clebsch(f).as_tuple()
-            want = _sym_ic246(_sym_form([_sym_rat(c) for c in f], 6, (x, y)), x, y)
-            want.append(_binary_discriminant(f, x))
-            assert got == tuple(_as_fraction(v) for v in want), f
+            forms.append(f)
+    # an int sextic with the double root x = 1, and its image under
+    # x -> x/(x + 1), which moves that root to infinity: a quartic, I10 = 0
+    forms += [[3, -5, 3, -2, 1, -1, 1], [3, 13, 23, 20, 8]]
+    for f in forms:
+        want = _sym_ic246(_sym_form([_sym_rat(c) for c in f], 6, (x, y)), x, y)
+        want.append(_binary_discriminant(f, x))
+        want = tuple(_as_fraction(v) for v in want)
+        for arg in (f, UPoly(f)):
+            assert igusa_clebsch(arg).as_tuple() == want, (f, arg)
+    with pytest.raises(ValueError):
+        igusa_clebsch(UPoly.monomial(7))
 
 
 def test_igusa_clebsch_upoly_matches_sympy():

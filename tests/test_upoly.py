@@ -171,6 +171,17 @@ def test_resultant_and_discriminant_match_sympy():
         assert resultant(p, q) == _as_fraction(expect), (p, q)
         if p.degree >= 1:
             assert discriminant(p) == _as_fraction(sympy.discriminant(_sym(p, xs), xs)), p
+    edge_cases = [
+        UPoly((Fraction(-2, 5), 3)),  # degree 1
+        UPoly((7, -1)),  # degree 1, negative leading coefficient
+        UPoly((10, -4, 0, 6)) * Fraction(1, 7),  # content 2 over the denominator 7
+        UPoly((Fraction(-9, 4), 0, Fraction(3, 2))),  # content 3 over the denominator 4
+        UPoly((Fraction(-1, 2), 1, 0, 0, -3)),  # negative leading coefficient
+        UPoly((-6, 0, 0, 0, 0, -10)) * Fraction(1, 3),  # odd degree, both signs negative
+        (x - 1) ** 2 * (x + 2) * Fraction(4, 9),  # a repeated root
+    ]
+    for p in edge_cases:
+        assert discriminant(p) == _as_fraction(sympy.discriminant(_sym(p, xs), xs)), p
 
 
 def test_formal_resultant_matches_sylvester_determinant():
