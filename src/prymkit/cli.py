@@ -47,10 +47,18 @@ def _emit(out, obj):
     out.write(dumps(obj) + "\n")
 
 
+def _open(path: str, mode: str):
+    """open(), with an unusable path reported as invalid input."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ValueError(f"cannot open {path}: {exc.strerror or exc}") from exc
+
+
 def cmd_verify(args, out) -> int:
     if args.recheck:
         ok_all = True
-        with open(args.recheck) as fh:
+        with _open(args.recheck, "r") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
@@ -62,20 +70,17 @@ def cmd_verify(args, out) -> int:
                             "failures": failures})
         return EXIT_OK if ok_all else EXIT_SUITE_FAILURE
     cfg = _config(args)
-    certs = run_suites(cfg)
-    sink = out
-    close = None
-    if args.out:
-        close = open(args.out, "w")
-        sink = close
+    # open the output before any suite runs, so a bad path costs no work
+    sink = _open(args.out, "w") if args.out else out
     ok_all = True
     try:
+        certs = run_suites(cfg)
         for cert in certs:
             ok_all &= cert.status == "pass"
             _emit(sink, cert.to_json())
     finally:
-        if close:
-            close.close()
+        if sink is not out:
+            sink.close()
     if args.out:
         for cert in certs:
             _emit(out, {"suite": cert.suite, "status": cert.status,

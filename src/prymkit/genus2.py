@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rat import Rat, rat, sqrt_exact
-from .upoly import UPoly, bracket, discriminant
+from .upoly import UPoly, bracket
 from .invariants import IgusaClebsch, igusa_clebsch as _ic_sextic
 from .quadforms import det
 
@@ -133,19 +133,21 @@ class RosenhainPoint:
 
 @dataclass(frozen=True)
 class Genus2Curve:
-    """eta^2 = f(xi) with f squarefree of degree 5 or 6; disc is
-    discriminant(f), kept for I10."""
+    """eta^2 = f(xi) with f squarefree of degree 5 or 6; ic holds its
+    Igusa-Clebsch invariants, computed once.  Their I10 is the discriminant
+    of f read as a binary sextic (disc(f) lc^2 for a quintic), so it
+    vanishes exactly when f has a repeated root."""
 
     f: UPoly
-    disc: Rat = field(init=False, repr=False, compare=False)
+    ic: IgusaClebsch = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.f.degree not in (5, 6):
             raise ValueError("curve polynomial must have degree 5 or 6")
-        disc = discriminant(self.f)
-        if disc == 0:
+        ic = _ic_sextic(self.f)
+        if ic.i10 == 0:
             raise ValueError("curve is singular (repeated root)")
-        object.__setattr__(self, "disc", disc)
+        object.__setattr__(self, "ic", ic)
 
     def to_json(self):
         return self.f.to_json()
@@ -198,7 +200,7 @@ class CoverPoint:
 
 
 def igusa_clebsch(c: Genus2Curve) -> IgusaClebsch:
-    return _ic_sextic(c.f, c.disc)
+    return c.ic
 
 
 # -- Richelot construction ---------------------------------------------------------

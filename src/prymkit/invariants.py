@@ -4,22 +4,30 @@ A sextic is a coefficient list [a0..a6] (ascending in x) of the form
 sum a_i x^i y^(6-i).  Invariants are computed from transvectants of the
 form with itself and normalized so that, for a split sextic
 lc * prod (x - r_i), they agree with the classical symmetric-function
-expressions in the root differences; I10 is the discriminant.
+expressions in the root differences; I10 is the discriminant of the binary
+form, so for a quintic (a6 = 0) it is disc(f) lc^2.
 
 Everything runs over Z.  A transvectant of orders (m, n, r) reads a sparse
 bilinear table, built once per order triple, of the entries (s, p, q, w)
 with output[s] += w f[p] g[q].  A rational sextic f = F/D is taken as its
-integer form F; the unnormalized Clebsch invariants A, B and C of F give
-I2, I4 and I6 as integer numerators over the fixed denominators
+integer form F.  With u = (F,F)_4 and y1 = (F,u)_4, the unnormalized
+Clebsch invariants
+
+    A = (F,F)_6,  B = (u,u)_4,  C = (u,(u,u)_2)_4,
+    D = ((u,(u,y1)_2)_2, y1)_2                         (degree 10)
+
+give all four invariants as integer numerators over fixed denominators:
 
     I2 = -A / 4320,
     I4 = (25 B - 96 A^2) / 35831808000,                (2^17 3^7 5^3)
     I6 = (6912 A^3 - 2400 A B + 125 C) / 111451255603200000,
                                                        (2^26 3^12 5^5)
+    I10 = (-1492992 A^5 + 648000 A^3 B + 30000 A^2 C - 56250 A B^2
+           - 3125 B C - 84375 D) / (2^43 3^21 5^10),
 
-and I_k(f) = I_k(F)/D^k is one Fraction per invariant.  A sextic with
-coefficients in Q[t] is evaluated at integer nodes, and each numerator is
-interpolated from its values there.
+and I_k(f) = I_k(F)/D^k is one Fraction per invariant.  No discriminant or
+resultant is taken.  A sextic with coefficients in Q[t] is evaluated at
+integer nodes, and each numerator is interpolated from its values there.
 """
 
 from __future__ import annotations
@@ -30,15 +38,7 @@ from functools import cache
 from math import comb, perm
 
 from .rat import Rat, rat, rat_str
-from .upoly import (
-    UPoly,
-    _from_ints,
-    _int_horner,
-    _int_interpolate,
-    _int_rows,
-    discriminant,
-    resultant_upoly_coeffs,
-)
+from .upoly import UPoly, _from_ints, _int_horner, _int_interpolate, _int_rows
 
 
 @cache
@@ -73,20 +73,32 @@ def transvectant(f, g, m: int, n: int, r: int):
     return total
 
 
-# I2, I4 and I6 are the numerators of _i246 over these denominators
-_DENOMS = (4320, 35831808000, 111451255603200000)
+# I2, I4, I6 and I10 are the numerators of _numerators over these denominators
+_DENOMS = (4320, 35831808000, 111451255603200000, 2**43 * 3**21 * 5**10)
 
 
-def _i246(f):
-    """Integer numerators of (I2, I4, I6), over _DENOMS, of the binary
+def _numerators(f):
+    """Integer numerators of (I2, I4, I6, I10), over _DENOMS, of the binary
     sextic with int coefficients f = [a0..a6], from the unnormalized
-    transvectants A = (f,f)_6, B = (u,u)_4 and C = (u,(u,u)_2)_4 with
-    u = (f,f)_4."""
+    transvectants A = (f,f)_6, B = (u,u)_4, C = (u,(u,u)_2)_4 and
+    D = (y3,y1)_2 with u = (f,f)_4, y1 = (f,u)_4, y2 = (u,y1)_2 and
+    y3 = (u,y2)_2."""
     u = transvectant(f, f, 6, 6, 4)
     a = transvectant(f, f, 6, 6, 6)[0]
     b = transvectant(u, u, 4, 4, 4)[0]
     c = transvectant(u, transvectant(u, u, 4, 4, 2), 4, 4, 4)[0]
-    return -a, 25 * b - 96 * a * a, (6912 * a * a - 2400 * b) * a + 125 * c
+    y1 = transvectant(f, u, 6, 4, 4)
+    y3 = transvectant(u, transvectant(u, y1, 4, 2, 2), 4, 2, 2)
+    d = transvectant(y3, y1, 2, 2, 2)[0]
+    a2 = a * a
+    return (
+        -a,
+        25 * b - 96 * a2,
+        (6912 * a2 - 2400 * b) * a + 125 * c,
+        ((648000 * b - 1492992 * a2) * a + 30000 * c) * a2
+        - (56250 * a * b + 3125 * c) * b
+        - 84375 * d,
+    )
 
 
 @dataclass(frozen=True)
@@ -114,37 +126,21 @@ class IgusaClebsch:
         return cls(rat(d["I2"]), rat(d["I4"]), rat(d["I6"]), rat(d["I10"]))
 
 
-def _disc_sextic_rational(p: UPoly, disc=None):
-    """Discriminant of p read as a binary sextic; disc, when given, is
-    discriminant(p).
-
-    For a degree-5 polynomial (a6 = 0) the extra root at infinity is simple
-    and the binary discriminant equals disc(quintic) * lead(quintic)^2.
-    Lower actual degree means a repeated root at infinity: discriminant 0.
-    """
-    d = p.degree
-    if d <= 4:
-        return Fraction(0)
-    if disc is None:
-        disc = discriminant(p)
-    return disc if d == 6 else disc * p.lead**2
-
-
-def igusa_clebsch(coeffs, disc=None) -> IgusaClebsch:
+def igusa_clebsch(coeffs) -> IgusaClebsch:
     """Invariants of a binary sextic, given as a UPoly of degree at most 6
     or as its rational coefficients [a0..a6] (a shorter list is padded with
-    zeros).  disc, when given, is the discriminant of the polynomial, which
-    gives I10."""
+    zeros)."""
     f = coeffs if isinstance(coeffs, UPoly) else UPoly(coeffs)
     if f.degree > 6:
         raise ValueError("need at most 7 coefficients (a0..a6)")
-    n2, n4, n6 = _i246(list(f.n) + [0] * (6 - f.degree))
+    n2, n4, n6, n10 = _numerators(list(f.n) + [0] * (6 - f.degree))
     d2 = f.d * f.d
+    d4 = d2 * d2
     return IgusaClebsch(
         Fraction(n2, _DENOMS[0] * d2),
-        Fraction(n4, _DENOMS[1] * d2 * d2),
-        Fraction(n6, _DENOMS[2] * d2 * d2 * d2),
-        _disc_sextic_rational(f, disc),
+        Fraction(n4, _DENOMS[1] * d4),
+        Fraction(n6, _DENOMS[2] * d4 * d2),
+        Fraction(n10, _DENOMS[3] * d4 * d4 * d2),
     )
 
 
@@ -153,10 +149,11 @@ def igusa_clebsch_upoly(coeffs):
 
     Returns (I2, I4, I6, I10) as UPoly; requires actual degree 6 in x.
     I_k has degree at most k h in t, h the largest degree of a coefficient,
-    so the integer copy F = D f is evaluated at t = 0..6h, the numerator of
+    so the integer copy F = D f is evaluated at t = 0..10h, the numerator of
     I_k(F) is taken at the first k h + 1 nodes and interpolated there, and
-    the division by its denominator and D^k is made once.  I10 comes from
-    the resultant of f and f_x over Q[t].
+    the division by its denominator and D^k is made once.  Every numerator
+    is a polynomial in the coefficients, so a node where a6 vanishes needs
+    no special case.
     """
     cs = [c if isinstance(c, UPoly) else UPoly.const(c) for c in coeffs]
     if len(cs) < 7:
@@ -165,14 +162,12 @@ def igusa_clebsch_upoly(coeffs):
         raise ValueError("leading coefficient vanishes identically")
     h = max(c.degree for c in cs)
     den, rows = _int_rows(cs)
-    nodes = [_i246([_int_horner(r, t) for r in rows]) for t in range(6 * h + 1)]
+    nodes = [_numerators([_int_horner(r, t) for r in rows]) for t in range(10 * h + 1)]
     out = []
-    for k, w in enumerate((2, 4, 6)):
+    for k, w in enumerate((2, 4, 6, 10)):
         acc, scale = _int_interpolate([node[k] for node in nodes[: w * h + 1]])
         out.append(_from_ints(acc, scale * _DENOMS[k] * den**w))
-    dcs = [cs[i + 1] * (i + 1) for i in range(6)]
-    i10 = -resultant_upoly_coeffs(cs, dcs).exact_div(cs[6])
-    return (*out, i10)
+    return tuple(out)
 
 
 # -- weighted projective comparisons ----------------------------------------
@@ -192,24 +187,18 @@ def wp_scale_equal(a: IgusaClebsch, b: IgusaClebsch, r) -> bool:
 def wp_equal(a: IgusaClebsch, b: IgusaClebsch) -> bool:
     """Equality in P(2,4,6,10): existence of a scale r (over the algebraic
     closure) with I_k(a) = r^k I_k(b).  All weights are even, so only
-    rho = r^2 enters, with weights w = 1, 2, 3, 5.  Over the nonzero
-    invariants with ratios q_w = rho^w, rho^g for g = gcd(w) is a product of
-    the q_w raised to Bezout exponents; a scale exists iff each q_w is the
-    power (rho^g)^(w/g) of it."""
-    nonzero = []
+    rho = r^2 enters, with weights w = 1, 2, 3, 5, which are pairwise
+    coprime.  So a scale exists iff the zero patterns agree and every two
+    nonzero ratios q_i = n_i/d_i = I(a)/I(b) satisfy q_i^w_j = q_j^w_i,
+    checked over Z as n_i^w_j d_j^w_i = n_j^w_i d_i^w_j."""
+    ratios = []
     for x, y, w in zip(a.as_tuple(), b.as_tuple(), (1, 2, 3, 5)):
         if (x == 0) != (y == 0):
             return False
         if x != 0:
-            nonzero.append((x, y, w))
-    g, rho_g = 0, Fraction(1)
-    for x, y, w in nonzero:
-        if g == 1:
-            break  # rho itself is known
-        # extended Euclid on (g, w): u g + v w = gcd, so rho^gcd = rho_g^u q^v
-        r0, r1, u0, u1, v0, v1 = g, w, 1, 0, 0, 1
-        while r1:
-            k = r0 // r1
-            r0, r1, u0, u1, v0, v1 = r1, r0 - k * r1, u1, u0 - k * u1, v1, v0 - k * v1
-        g, rho_g = r0, rho_g**u0 * (rat(x) / rat(y)) ** v0
-    return all(x == rho_g ** (w // g) * y for x, y, w in nonzero)
+            ratios.append((x.numerator * y.denominator, x.denominator * y.numerator, w))
+    return all(
+        ni**wj * dj**wi == nj**wi * di**wj
+        for k, (ni, di, wi) in enumerate(ratios)
+        for nj, dj, wj in ratios[k + 1:]
+    )

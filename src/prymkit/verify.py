@@ -514,14 +514,14 @@ def recheck_certificate(cert: dict):
         kind = c.get("kind")
         if kind == "eq":
             ok = c.get("lhs") == c.get("rhs")
-        elif kind == "wp_scale":
-            a = IgusaClebsch.from_json(c["a"])
-            b = IgusaClebsch.from_json(c["b"])
-            ok = wp_scale_equal(a, b, _rat(c["r"]))
-        elif kind == "wp_equal":
-            a = IgusaClebsch.from_json(c["a"])
-            b = IgusaClebsch.from_json(c["b"])
-            ok = wp_equal(a, b)
+        elif kind in ("wp_scale", "wp_equal"):
+            # a witness that does not parse is a failed check, not a crash
+            try:
+                a = IgusaClebsch.from_json(c["a"])
+                b = IgusaClebsch.from_json(c["b"])
+                ok = wp_equal(a, b) if kind == "wp_equal" else wp_scale_equal(a, b, _rat(c["r"]))
+            except (KeyError, TypeError, ValueError, ZeroDivisionError):
+                ok = False
         elif kind == "flag":
             ok = bool(c.get("ok"))
         else:

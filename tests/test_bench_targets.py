@@ -23,9 +23,11 @@ def test_tracer_targets_install():
 
 
 def test_curve_op_passes_the_benchmark_checks(monkeypatch):
-    """The curve_invariants op, run by the benchmark's worker on a few corpus
-    pairs, passes the benchmark's own output checks; so do the covariance
-    checks, called as the benchmark calls them."""
+    """The curve_invariants op, run by the benchmark's worker on 60 corpus
+    pairs from two seeds, passes the benchmark's own output checks; so do
+    the covariance checks, called as the benchmark calls them.  The batch
+    holds every corpus shape: quintics and sextics, related and unrelated
+    pairs."""
     pytest.importorskip("sympy")
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import checks
@@ -33,7 +35,11 @@ def test_curve_op_passes_the_benchmark_checks(monkeypatch):
 
     from prymkit.invariants import igusa_clebsch
 
-    pairs = corpus.curve_pairs(random.Random("tier-1"), 5, set())
+    seen = set()
+    pairs = [pair for seed in ("tier-1", "tier-1:b")
+             for pair in corpus.curve_pairs(random.Random(seed), 30, seen)]
+    assert {len(pair[k]) - 1 for pair in pairs for k in "fg"} == {5, 6}
+    assert {pair["related"] for pair in pairs} == {True, False}
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")]))
     out = subprocess.run([sys.executable, str(ROOT / "perfbench" / "opworker.py")],
                          input=json.dumps({"pairs": pairs}) + "\n", env=env,

@@ -105,6 +105,59 @@ def test_recheck_detects_tampering(tmp_path, capsys):
     assert json.loads(out.strip().splitlines()[0])["recheck"] == "fail"
 
 
+_DROP = object()
+
+
+@pytest.mark.parametrize("kind, where, value", [
+    ("wp_equal", ("b", "I4"), _DROP),
+    ("wp_scale", ("a", "I10"), "x"),
+    ("wp_scale", ("r",), _DROP),
+    ("wp_equal", ("a",), 5),
+], ids=["wp_equal_without_I4", "wp_scale_I10_x", "wp_scale_without_r", "wp_equal_a_not_an_object"])
+def test_recheck_fails_a_malformed_weighted_projective_check(tmp_path, capsys, kind, where, value):
+    # an unreadable witness fails its own check, under its label, and the
+    # recheck goes on to the other certificates
+    certs = [json.loads(l) for l in (DATA / "reference_k15.jsonl").read_text().splitlines()]
+    suite, check = next((c["suite"], ch) for c in certs for ch in c["checks"] if ch["kind"] == kind)
+    *outer, key = where
+    target = check
+    for k in outer:
+        target = target[k]
+    if value is _DROP:
+        del target[key]
+    else:
+        target[key] = value
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(json.dumps(c) + "\n" for c in certs))
+    code, out, err = run_cli(capsys, "verify", "--recheck", str(path))
+    assert (code, err) == (1, "")
+    recs = [json.loads(l) for l in out.splitlines()]
+    assert [r["suite"] for r in recs] == [c["suite"] for c in certs]
+    for r in recs:
+        want = ("fail", [check["label"]]) if r["suite"] == suite else ("pass", [])
+        assert (r["recheck"], r["failures"]) == want
+
+
+def test_verify_unwritable_out_exits_two_before_any_suite(tmp_path, capsys, monkeypatch):
+    import prymkit.cli
+
+    def refuse(cfg):
+        raise AssertionError("a suite ran before --out was opened")
+
+    monkeypatch.setattr(prymkit.cli, "run_suites", refuse)
+    path = tmp_path / "missing" / "x.jsonl"
+    code, out, err = run_cli(capsys, "verify", "--suite", "richelot", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot open {path}: ") and err.count("\n") == 1, err
+
+
+def test_recheck_of_a_missing_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "missing.jsonl"
+    code, out, err = run_cli(capsys, "verify", "--recheck", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot open {path}: ") and err.count("\n") == 1, err
+
+
 def test_pencil_classify_stream(capsys):
     code, out, _ = run_cli(capsys, "pencil", "classify", "--t", "0", "--t", "1",
                            "--t", "3", "--t", "4")

@@ -226,7 +226,8 @@ def test_wp_equal_against_the_definition(vals, rho):
         assert wp_equal(a, replace(b, i10=-b.i10)) == (a.i2 == 0 and a.i6 == 0)
 
 
-def test_parametric_invariants_match_specialization(pencil):
+def _w14_sextic(pencil):
+    """The genus-5 suite's sextic over Q[t]: the product of the w14 factors."""
     import prymkit.genus5 as g5
 
     p1, p2, p3 = g5.w14_factors(pencil)
@@ -238,7 +239,57 @@ def test_parametric_invariants_match_specialization(pencil):
                 out[i + j] = out[i + j] + u * v
         return out
 
-    sext = mul(mul(p1, p2), p3)
+    return mul(mul(p1, p2), p3)
+
+
+def _wp_equal_by_gcd(a, b):
+    """Equality in P(2,4,6,10) by sympy: a scale rho = r^2 with
+    I_k(a) = rho^(k/2) I_k(b) exists over the algebraic closure iff the zero
+    patterns agree and the polynomials X^w - I(a)/I(b), over the nonzero
+    invariants of weight w = k/2, have a common root."""
+    sympy = pytest.importorskip("sympy")
+    X = sympy.symbols("X")
+    g = sympy.Integer(0)
+    for x, y, w in zip(a.as_tuple(), b.as_tuple(), (1, 2, 3, 5)):
+        if (x == 0) != (y == 0):
+            return False
+        if x != 0:
+            g = sympy.gcd(g, X**w - _sym_rat(Fraction(x) / Fraction(y)))
+    return g == 0 or sympy.degree(g, X) > 0
+
+
+def test_wp_equal_against_a_brute_force_reference():
+    """All 16 zero patterns, for scaled pairs and for pairs with one entry
+    perturbed, rho = -1 among the scales."""
+    from dataclasses import replace
+
+    from prymkit.invariants import IgusaClebsch
+
+    rng = random.Random(53)
+    names = ("i2", "i4", "i6", "i10")
+    verdicts = {True: 0, False: 0}
+    for mask in range(16):
+        vals = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 6))
+                if mask >> k & 1 else Fraction(0) for k in range(4)]
+        a = IgusaClebsch(*vals)
+        for rho in (Fraction(-1), Fraction(4), Fraction(-2, 3)):
+            b = _scale(a, rho)
+            assert wp_equal(a, b) and wp_equal(b, a), (a, rho)
+            assert _wp_equal_by_gcd(a, b)
+            for name in names:
+                v = getattr(b, name)
+                for moved in (-v, 2 * v, Fraction(0) if v else Fraction(3)):
+                    c = replace(b, **{name: moved})
+                    want = _wp_equal_by_gcd(a, c)
+                    assert wp_equal(a, c) == want == _wp_equal_by_gcd(c, a), (a, c)
+                    assert wp_equal(c, a) == want, (a, c)
+                    verdicts[want] += 1
+    # both verdicts occur among the perturbed pairs
+    assert verdicts[True] and verdicts[False]
+
+
+def test_parametric_invariants_match_specialization(pencil):
+    sext = _w14_sextic(pencil)
     i2, i4, i6, i10 = igusa_clebsch_upoly(sext)
     for t in (Fraction(1), Fraction(5), Fraction(-1, 2)):
         spec = igusa_clebsch([c(t) for c in sext])
@@ -377,3 +428,71 @@ def test_igusa_clebsch_upoly_matches_sympy():
         for g, w in zip(got, want):
             coeffs = [_as_fraction(v) for v in reversed(sympy.Poly(w, t).all_coeffs())]
             assert list(g.c) == (coeffs if any(coeffs) else []), cs
+
+
+def _random_forms(rng, bits, den):
+    """Sextics and quintics with coefficients of the given bit size over a
+    denominator up to den; a few have zero middle coefficients."""
+    forms = []
+    for deg in (6, 5):
+        for k in range(6):
+            f = [Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, den)) for _ in range(deg)]
+            f.append(Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**bits), rng.randint(1, den)))
+            if k == 0:
+                f[1] = f[3] = Fraction(0)
+            forms.append(f)
+    return forms
+
+
+def test_i10_weights_match_the_binary_discriminant():
+    """I10 from Clebsch's D against sympy's discriminant: int forms with
+    64-bit coefficients, and rational ones whose denominators check the
+    division by D^10."""
+    sympy = pytest.importorskip("sympy")
+    from prymkit.invariants import _DENOMS, _numerators
+
+    x = sympy.symbols("x")
+    rng = random.Random(61)
+    assert _DENOMS[3] == 2**43 * 3**21 * 5**10
+    for bits, den in ((64, 1), (8, 30), (62, 2**20)):
+        for f in _random_forms(rng, bits, den):
+            want = _as_fraction(_binary_discriminant(f, x))
+            assert igusa_clebsch(f).i10 == want, f
+            if den == 1:
+                ints = [int(c) for c in f] + [0] * (7 - len(f))
+                assert Fraction(_numerators(ints)[3], _DENOMS[3]) == want, f
+
+
+def test_genus2_curve_rejects_a_repeated_root():
+    for roots, lead in (([1, 1, 2, 3, 4, 5], 3), ([Fraction(1, 2), 2, 2, -7, 0], Fraction(-5, 4))):
+        f = UPoly.from_roots(roots, lead)
+        assert f.degree == len(roots)
+        with pytest.raises(ValueError, match="singular"):
+            Genus2Curve(f)
+        # moving the double root apart gives a curve
+        moved = list(roots)
+        moved[1] = 100
+        assert Genus2Curve(UPoly.from_roots(moved, lead)).ic.i10 != 0
+    with pytest.raises(ValueError, match="degree 5 or 6"):
+        Genus2Curve(UPoly.from_roots([1, 2, 3, 4], 1))
+
+
+@pytest.mark.parametrize("moduli", [
+    ((9, 2, 8), 3, 4),
+    ((49, 5, 45), 7, 15),
+    ((49, 18, 32), 7, 24),
+], ids=["9_2_8", "49_5_45", "49_18_32"])
+def test_parametric_i10_is_the_resultant_discriminant(moduli):
+    """igusa_clebsch_upoly's I10 of the genus-5 suite's sextic equals
+    -Res(f, f_x)/a6 over Q[t], at the reference and two corpus moduli."""
+    from prymkit.genus2 import CoverPoint, RosenhainPoint
+    from prymkit.pencil3 import PencilParams
+    from prymkit.upoly import resultant_upoly_coeffs
+
+    lams, k15, k23 = moduli
+    cover = CoverPoint(RosenhainPoint(*(Fraction(v) for v in lams)), Fraction(k15), Fraction(k23))
+    sext = _w14_sextic(PencilParams.from_cover(cover, "k15"))
+    assert len(sext) == 7 and sext[6]
+    deriv = [sext[i + 1] * (i + 1) for i in range(6)]
+    want = -resultant_upoly_coeffs(sext, deriv).exact_div(sext[6])
+    assert igusa_clebsch_upoly(sext)[3] == want
