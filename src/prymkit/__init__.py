@@ -1,31 +1,7 @@
 """prymkit: exact-rational verification of a pencil of bielliptic curves,
-their Kummer-surface elliptic fibrations, and the associated genus-2 data."""
+their Kummer-surface elliptic fibrations, and the associated genus-2 data.
 
-from .rat import Rat, rat, rat_str, sqrt_exact
-from .upoly import UPoly, bracket, discriminant, gcd, resultant
-from .bpoly import MPoly
-from .ratfunc import RatFunc
-from .factorq import rational_roots, squarefree_places
-from .invariants import IgusaClebsch, igusa_clebsch as igusa_clebsch_coeffs, wp_equal, wp_scale_equal
-
-__all__ = [
-    "Rat",
-    "rat",
-    "rat_str",
-    "sqrt_exact",
-    "UPoly",
-    "MPoly",
-    "RatFunc",
-    "bracket",
-    "discriminant",
-    "gcd",
-    "resultant",
-    "rational_roots",
-    "squarefree_places",
-    "IgusaClebsch",
-    "igusa_clebsch_coeffs",
-    "wp_equal",
-    "wp_scale_equal",
-]
+The package root loads nothing: import names from the submodules, e.g.
+`from prymkit.upoly import UPoly` or `from prymkit.genus2 import igusa_clebsch`."""
 
 __version__ = "0.1.0"

@@ -8,13 +8,10 @@ import json
 import os
 import sys
 
+# each command imports the stack it runs, so that `prymkit invariants` and
+# a plain import of this module load no verification suite
 from .rat import rat, rat_str
-from .upoly import UPoly
 from .jsonio import dumps
-from . import genus2 as g2
-from . import pencil3 as p3
-from . import fibration as fb
-from .verify import RunConfig, SUITE_ORDER, run_suites, recheck_certificate
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
@@ -36,7 +33,9 @@ def _add_moduli_args(ap: argparse.ArgumentParser):
     ap.add_argument("--variant", choices=("k15", "k23"), default="k15")
 
 
-def _config(args) -> RunConfig:
+def _config(args):
+    from .verify import RunConfig
+
     lambdas = _parse_lambda(args.lambdas)
     ts = tuple(rat(t) for t in getattr(args, "t", None) or ())
     suites = tuple(getattr(args, "suite", None) or ("all",))
@@ -55,32 +54,71 @@ def _open(path: str, mode: str):
         raise ValueError(f"cannot open {path}: {exc.strerror or exc}") from exc
 
 
+def _open_out(path: str):
+    """The file that `--out PATH` certificates are written to, and a function
+    close(keep) for the end of the run.  A regular or new PATH is written
+    under a temporary name beside it, which replaces it only if keep is true,
+    so a run that exits 2 leaves PATH as it was.  Any other existing PATH (a
+    device, a pipe) is written directly."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        fh = _open(path, "w")
+        return fh, lambda keep: fh.close()
+    target = os.path.realpath(path)  # through a symlink, as open() writes
+    tmp = os.path.join(os.path.dirname(target),
+                       f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    try:
+        fh = os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w")
+    except OSError as exc:
+        raise ValueError(f"cannot open {path}: {exc.strerror or exc}") from exc
+
+    def close(keep: bool):
+        fh.close()
+        if keep:
+            os.replace(tmp, target)
+        else:
+            os.remove(tmp)
+
+    return fh, close
+
+
+def _recheck(path: str, out) -> int:
+    from .verify import recheck_certificate
+
+    ok_all = True
+    with _open(path, "r") as fh:
+        for n, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            cert = json.loads(line)
+            if not isinstance(cert, dict):
+                raise ValueError(f"line {n} of {path} is not a certificate (a JSON object)")
+            ok, failures = recheck_certificate(cert)
+            ok_all &= ok
+            _emit(out, {"suite": cert.get("suite"), "recheck": "pass" if ok else "fail",
+                        "failures": failures})
+    return EXIT_OK if ok_all else EXIT_SUITE_FAILURE
+
+
 def cmd_verify(args, out) -> int:
     if args.recheck:
-        ok_all = True
-        with _open(args.recheck, "r") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                cert = json.loads(line)
-                ok, failures = recheck_certificate(cert)
-                ok_all &= ok
-                _emit(out, {"suite": cert.get("suite"), "recheck": "pass" if ok else "fail",
-                            "failures": failures})
-        return EXIT_OK if ok_all else EXIT_SUITE_FAILURE
+        return _recheck(args.recheck, out)
+    from .verify import run_suites
+
     cfg = _config(args)
     # open the output before any suite runs, so a bad path costs no work
-    sink = _open(args.out, "w") if args.out else out
+    sink, close = _open_out(args.out) if args.out else (out, None)
     ok_all = True
+    finished = False
     try:
         certs = run_suites(cfg)
         for cert in certs:
             ok_all &= cert.status == "pass"
             _emit(sink, cert.to_json())
+        finished = True
     finally:
-        if sink is not out:
-            sink.close()
+        if close is not None:
+            close(finished)
     if args.out:
         for cert in certs:
             _emit(out, {"suite": cert.suite, "status": cert.status,
@@ -89,6 +127,8 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_pencil(args, out) -> int:
+    from . import pencil3 as p3
+
     cfg = _config(args)
     if not cfg.ts:
         raise ValueError("pencil classify needs at least one --t value")
@@ -103,9 +143,10 @@ def cmd_pencil(args, out) -> int:
 
 
 def cmd_fibers(args, out) -> int:
-    cfg = _config(args)
+    from . import fibration as fb
     from .verify import families
 
+    cfg = _config(args)
     fams = families(cfg)
     wanted = args.family or sorted(fams)
     for name in wanted:
@@ -122,6 +163,9 @@ def cmd_fibers(args, out) -> int:
 
 
 def cmd_invariants(args, out) -> int:
+    from . import genus2 as g2
+    from .upoly import UPoly
+
     data = json.loads(args.curve)
     if not isinstance(data, list):
         raise ValueError("--curve expects a JSON array of rationals")
@@ -145,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run verification suites")
     _add_moduli_args(v)
-    v.add_argument("--suite", action="append", choices=["all"] + SUITE_ORDER)
+    # verify.run_suites rejects an unknown name, before any suite runs
+    v.add_argument("--suite", action="append",
+                   help="a suite to run, or all (the default); repeatable")
     v.add_argument("--out", help="write certificates (JSON lines) to this path")
     v.add_argument("--recheck", help="re-validate a certificate file from witness data")
 

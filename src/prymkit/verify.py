@@ -509,11 +509,18 @@ def recheck_certificate(cert: dict):
     data alone; returns (ok, failures)."""
     from .rat import rat as _rat
 
+    checks = cert.get("checks", [])
+    if not isinstance(checks, list):
+        return False, ["checks"]
     failures = []
-    for c in cert.get("checks", []):
+    for i, c in enumerate(checks):
+        if not isinstance(c, dict):
+            failures.append(f"checks[{i}]")
+            continue
         kind = c.get("kind")
         if kind == "eq":
-            ok = c.get("lhs") == c.get("rhs")
+            # both sides must be there: a missing pair is not an equality
+            ok = "lhs" in c and "rhs" in c and c["lhs"] == c["rhs"]
         elif kind in ("wp_scale", "wp_equal"):
             # a witness that does not parse is a failed check, not a crash
             try:

@@ -139,16 +139,125 @@ def test_recheck_fails_a_malformed_weighted_projective_check(tmp_path, capsys, k
 
 
 def test_verify_unwritable_out_exits_two_before_any_suite(tmp_path, capsys, monkeypatch):
-    import prymkit.cli
+    import prymkit.verify
 
     def refuse(cfg):
         raise AssertionError("a suite ran before --out was opened")
 
-    monkeypatch.setattr(prymkit.cli, "run_suites", refuse)
+    monkeypatch.setattr(prymkit.verify, "run_suites", refuse)
     path = tmp_path / "missing" / "x.jsonl"
     code, out, err = run_cli(capsys, "verify", "--suite", "richelot", "--out", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot open {path}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("--lambda", "49,5,45", "--kappa15", "7", "--kappa23", "15", "--suite", "pencil"),
+     "x0 is not a root of the quartic"),
+    (("--lambda", "1,2,3"), None),
+], ids=["pencil_49_5_45", "lambda_1_2_3"])
+def test_verify_exiting_two_keeps_an_existing_out_file(tmp_path, capsys, argv, reason):
+    path = tmp_path / "keep.jsonl"
+    old = (DATA / "reference_k15.jsonl").read_bytes()
+    path.write_bytes(old)
+    code, out, err = run_cli(capsys, "verify", *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if reason is not None:
+        assert reason in err
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.jsonl"]
+
+
+def test_verify_out_replaces_an_existing_file_with_the_certificates(tmp_path, capsys):
+    path = tmp_path / "certs.jsonl"
+    path.write_text("an older run\n")
+    code, out, err = run_cli(capsys, "verify", "--out", str(path))
+    assert (code, err) == (0, "")
+    assert path.read_bytes() == (DATA / "reference_k15.jsonl").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["certs.jsonl"]
+    assert [json.loads(l)["status"] for l in out.splitlines()] == ["pass"] * 6
+
+
+def test_verify_out_writes_through_a_symlink_and_to_a_device(tmp_path, capsys):
+    (tmp_path / "real.jsonl").write_text("an older run\n")
+    (tmp_path / "link.jsonl").symlink_to("real.jsonl")
+    code, _, _ = run_cli(capsys, "verify", "--suite", "richelot",
+                         "--out", str(tmp_path / "link.jsonl"))
+    assert code == 0
+    assert (tmp_path / "link.jsonl").is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "real.jsonl"]
+    first = (DATA / "reference_k15.jsonl").read_text().splitlines(keepends=True)[0]
+    assert (tmp_path / "real.jsonl").read_text() == first
+    # a device is written directly, never replaced
+    code, _, _ = run_cli(capsys, "verify", "--suite", "richelot", "--out", os.devnull)
+    assert code == 0 and os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+
+def test_verify_out_of_a_failing_run_is_written(tmp_path, capsys):
+    # exit 1 is a finished run: its certificates replace the file
+    path = tmp_path / "certs.jsonl"
+    path.write_text("an older run\n")
+    code, _, err = run_cli(capsys, "verify", "--lambda", "9,16,36", "--kappa15", "3",
+                           "--kappa23", "24", "--variant", "k23", *(
+                               a for s in SWEEP_SUITES + ("pencil",) for a in ("--suite", s)),
+                           "--out", str(path))
+    assert (code, err) == (1, "")
+    assert path.read_bytes() == (DATA / "sweep_9_16_36_k23.jsonl").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["certs.jsonl"]
+
+
+def test_verify_out_to_a_directory_exits_two(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "richelot", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot open {tmp_path}: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
+EQ_LABEL = "coefficient discriminant identity k15/sheet1"
+
+
+@pytest.mark.parametrize("drop", [("lhs", "rhs"), ("lhs",), ("rhs",)],
+                         ids=["both_sides", "lhs", "rhs"])
+def test_recheck_fails_an_eq_check_without_its_sides(tmp_path, capsys, drop):
+    certs = [json.loads(l) for l in (DATA / "reference_k15.jsonl").read_text().splitlines()]
+    suite, check = next((c["suite"], ch) for c in certs for ch in c["checks"]
+                        if ch.get("label") == EQ_LABEL)
+    assert check["kind"] == "eq"
+    for key in drop:
+        del check[key]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(json.dumps(c) + "\n" for c in certs))
+    code, out, err = run_cli(capsys, "verify", "--recheck", str(path))
+    assert (code, err) == (1, "")
+    for r in map(json.loads, out.splitlines()):
+        want = ("fail", [EQ_LABEL]) if r["suite"] == suite else ("pass", [])
+        assert (r["recheck"], r["failures"]) == want
+
+
+@pytest.mark.parametrize("line", ["[1]", "5", "null", '"cert"'])
+def test_recheck_of_a_line_that_is_not_an_object_exits_two(tmp_path, capsys, line):
+    first = (DATA / "reference_k15.jsonl").read_text().splitlines()[0]
+    path = tmp_path / "bad.jsonl"
+    path.write_text(first + "\n\n" + line + "\n")
+    code, out, err = run_cli(capsys, "verify", "--recheck", str(path))
+    assert code == 2
+    assert [json.loads(l)["recheck"] for l in out.splitlines()] == ["pass"]
+    assert err == f"error: line 3 of {path} is not a certificate (a JSON object)\n"
+
+
+@pytest.mark.parametrize("checks, failures", [
+    ([1], ["checks[0]"]),
+    ([{"kind": "flag", "ok": True, "label": "fine"}, None, "eq"], ["checks[1]", "checks[2]"]),
+    (5, ["checks"]),
+    ({"kind": "flag", "ok": True}, ["checks"]),
+], ids=["one_int", "null_and_string", "int", "object"])
+def test_recheck_fails_checks_that_are_not_a_list_of_objects(tmp_path, capsys, checks, failures):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"suite": "x", "status": "pass", "checks": checks}) + "\n")
+    code, out, err = run_cli(capsys, "verify", "--recheck", str(path))
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"suite": "x", "recheck": "fail", "failures": failures}
 
 
 def test_recheck_of_a_missing_file_exits_two(tmp_path, capsys):
