@@ -87,10 +87,12 @@ def _recheck(path: str, out) -> int:
     ok_all = True
     with _open(path, "r") as fh:
         for n, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            cert = json.loads(line)
+            try:
+                cert = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {n} of {path}: {exc.msg} (column {exc.colno})") from exc
             if not isinstance(cert, dict):
                 raise ValueError(f"line {n} of {path} is not a certificate (a JSON object)")
             ok, failures = recheck_certificate(cert)

@@ -11,7 +11,6 @@ from fractions import Fraction
 from .rat import Rat, rat, sqrt_exact
 from .upoly import UPoly, bracket
 from .invariants import IgusaClebsch, igusa_clebsch as _ic_sextic
-from .quadforms import det
 
 INF = object()  # marker for the branch point at infinity
 
@@ -226,6 +225,8 @@ def partition_quadratics(p: RosenhainPoint, pairs):
 def delta_abc(a: UPoly, b: UPoly, c: UPoly) -> Rat:
     """Determinant of the coefficient matrix of (a, b, c) in the basis
     (xi^2, xi, 1)."""
+    from .quadforms import det
+
     return det([[q.coeff(2), q.coeff(1), q.coeff(0)] for q in (a, b, c)])
 
 

@@ -7,11 +7,11 @@ lc * prod (x - r_i), they agree with the classical symmetric-function
 expressions in the root differences; I10 is the discriminant of the binary
 form, so for a quintic (a6 = 0) it is disc(f) lc^2.
 
-Everything runs over Z.  A transvectant of orders (m, n, r) reads a sparse
-bilinear table, built once per order triple, of the entries (s, p, q, w)
-with output[s] += w f[p] g[q].  A rational sextic f = F/D is taken as its
-integer form F.  With u = (F,F)_4 and y1 = (F,u)_4, the unnormalized
-Clebsch invariants
+Everything runs over Z.  A transvectant of orders (m, n, r) is one
+straight-line integer function, compiled on first use from the sparse
+bilinear table of entries (s, p, q, w) with output[s] += w f[p] g[q].  A
+rational sextic f = F/D is taken as its integer form F.  With u = (F,F)_4
+and y1 = (F,u)_4, the unnormalized Clebsch invariants
 
     A = (F,F)_6,  B = (u,u)_4,  C = (u,(u,u)_2)_4,
     D = ((u,(u,y1)_2)_2, y1)_2                         (degree 10)
@@ -58,19 +58,42 @@ def _table(m: int, n: int, r: int):
     return tuple((s, p, q, w) for (s, p, q), w in acc.items() if w)
 
 
+@cache
+def _kernel(m: int, n: int, r: int, same: bool):
+    """The transvectant of orders (m, n, r) compiled from _table(m, n, r): the
+    coefficients unpacked into locals once, then one sum of w * f{p} * g{q}
+    per output coefficient.  With same (g is f), (p, q) and (q, p) merge."""
+    if r > m or r > n:
+        raise ValueError("transvectant order exceeds form orders")
+    if same and m != n:
+        raise ValueError("a form paired with itself needs equal orders")
+    acc = {}
+    for s, p, q, w in _table(m, n, r):
+        key = (s, min(p, q), max(p, q)) if same else (s, p, q)
+        acc[key] = acc.get(key, 0) + w
+    sums = [[] for _ in range(m + n - 2 * r + 1)]
+    for (s, p, q), w in acc.items():
+        if w:
+            sums[s].append(f"{w} * f{p} * {'f' if same else 'g'}{q}")
+    unpack = f"    {''.join(f'f{i}, ' for i in range(m + 1))}= f\n"
+    if not same:
+        unpack += f"    {''.join(f'g{i}, ' for i in range(n + 1))}= g\n"
+    body = ",\n        ".join(" + ".join(t) or "0" for t in sums)
+    namespace = {}
+    exec(f"def kernel(f, g):\n{unpack}    return [\n        {body},\n    ]\n", namespace)
+    return namespace["kernel"]
+
+
 def transvectant(f, g, m: int, n: int, r: int):
     """r-th transvectant of binary forms of orders m and n, given as int
-    coefficient lists ascending in x, without its normalizing factor
-    (m-r)!(n-r)!/(m!n!): the int coefficient list, of order m + n - 2r, of
+    coefficient lists ascending in x of exactly m + 1 and n + 1 entries
+    (ValueError otherwise, or if r > m or r > n), without its normalizing
+    factor (m-r)!(n-r)!/(m!n!): a new int coefficient list, of order
+    m + n - 2r, of
 
         sum_k (-1)^k C(r, k) d^r f/dx^(r-k) dy^k * d^r g/dx^k dy^(r-k).
     """
-    if r > m or r > n:
-        raise ValueError("transvectant order exceeds form orders")
-    total = [0] * (m + n - 2 * r + 1)
-    for s, p, q, w in _table(m, n, r):
-        total[s] += w * f[p] * g[q]
-    return total
+    return _kernel(m, n, r, f is g)(f, g)
 
 
 # I2, I4, I6 and I10 are the numerators of _numerators over these denominators
@@ -190,13 +213,17 @@ def wp_equal(a: IgusaClebsch, b: IgusaClebsch) -> bool:
     rho = r^2 enters, with weights w = 1, 2, 3, 5, which are pairwise
     coprime.  So a scale exists iff the zero patterns agree and every two
     nonzero ratios q_i = n_i/d_i = I(a)/I(b) satisfy q_i^w_j = q_j^w_i,
-    checked over Z as n_i^w_j d_j^w_i = n_j^w_i d_i^w_j."""
+    checked over Z as n_i^w_j d_j^w_i = n_j^w_i d_i^w_j.  When I2 is nonzero,
+    rho = q_2 is the only scale, and q_i = rho^w_i alone decides."""
     ratios = []
     for x, y, w in zip(a.as_tuple(), b.as_tuple(), (1, 2, 3, 5)):
         if (x == 0) != (y == 0):
             return False
         if x != 0:
             ratios.append((x.numerator * y.denominator, x.denominator * y.numerator, w))
+    if a.i2:
+        (n0, d0, _), *rest = ratios
+        return all(ni * d0**wi == di * n0**wi for ni, di, wi in rest)
     return all(
         ni**wj * dj**wi == nj**wi * di**wj
         for k, (ni, di, wi) in enumerate(ratios)

@@ -21,13 +21,21 @@ class UPoly:
     __slots__ = ("n", "d", "_c")
 
     def __init__(self, coeffs=()):
-        cs = [a if isinstance(a, (int, Fraction)) else rat(a) for a in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
+        ns, ds = [], []
+        for a in coeffs:
+            if type(a) is int:
+                ns.append(a)
+                ds.append(1)
+            else:
+                a = a if isinstance(a, Fraction) else rat(a)
+                ns.append(a.numerator)
+                ds.append(a.denominator)
+        while ns and ns[-1] == 0:
+            del ns[-1], ds[-1]
         # the lcm of reduced denominators leaves no common factor with the
         # scaled numerators, so this form is already canonical
-        d = lcm(*(a.denominator for a in cs))
-        self.n = tuple(a.numerator * (d // a.denominator) for a in cs)
+        d = lcm(*ds)
+        self.n = tuple(ns) if d == 1 else tuple(v * (d // e) for v, e in zip(ns, ds))
         self.d = d
         self._c = None
 

@@ -246,6 +246,17 @@ def test_recheck_of_a_line_that_is_not_an_object_exits_two(tmp_path, capsys, lin
     assert err == f"error: line 3 of {path} is not a certificate (a JSON object)\n"
 
 
+def test_recheck_names_the_file_line_that_does_not_parse(tmp_path, capsys):
+    first = (DATA / "reference_k15.jsonl").read_text().splitlines()[0]
+    path = tmp_path / "bad.jsonl"
+    path.write_text(first + "\n{oops\n")
+    code, out, err = run_cli(capsys, "verify", "--recheck", str(path))
+    assert code == 2
+    assert [json.loads(l)["recheck"] for l in out.splitlines()] == ["pass"]
+    assert err == (f"error: line 2 of {path}: "
+                   "Expecting property name enclosed in double quotes (column 2)\n")
+
+
 @pytest.mark.parametrize("checks, failures", [
     ([1], ["checks[0]"]),
     ([{"kind": "flag", "ok": True, "label": "fine"}, None, "eq"], ["checks[1]", "checks[2]"]),

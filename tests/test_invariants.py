@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prymkit.upoly import UPoly
-from prymkit.invariants import igusa_clebsch, igusa_clebsch_upoly, wp_equal, wp_scale_equal
+from prymkit.invariants import (
+    IgusaClebsch, _kernel, _table, igusa_clebsch, igusa_clebsch_upoly, transvectant, wp_equal,
+    wp_scale_equal,
+)
 from prymkit.genus2 import Genus2Curve, igusa_clebsch as ic_curve, rosenhain_curve
 
 
@@ -175,8 +178,6 @@ def test_wp_scale_equal_basics():
 
 
 def test_wp_equal_zero_branch():
-    from prymkit.invariants import IgusaClebsch
-
     a = IgusaClebsch(Fraction(0), Fraction(2), Fraction(3), Fraction(5))
     b = IgusaClebsch(Fraction(0), Fraction(2 * 16), Fraction(3 * 64), Fraction(5 * 2**10))
     assert wp_equal(a, b)
@@ -185,13 +186,77 @@ def test_wp_equal_zero_branch():
 
 
 def test_wp_equal_needs_one_scale_for_i6_and_i10():
-    from prymkit.invariants import IgusaClebsch
-
     # I4 gives r^4 = 1, I6 gives r^6 = 1 so r^2 = 1, and then I10 needs r^10 = -1
     a = IgusaClebsch(Fraction(0), Fraction(1), Fraction(1), Fraction(1))
     b = IgusaClebsch(Fraction(0), Fraction(1), Fraction(1), Fraction(-1))
     assert not wp_equal(a, b)
     assert not wp_equal(b, a)
+
+
+def test_wp_equal_with_i2_takes_rho_from_it():
+    # I2 fixes rho = 2; q4 = rho^2 holds, but q6 = -rho^3 does not
+    a = IgusaClebsch(Fraction(2), Fraction(4), Fraction(-8), Fraction(32))
+    b = IgusaClebsch(Fraction(1), Fraction(1), Fraction(1), Fraction(1))
+    assert not wp_equal(a, b)
+    assert not wp_equal(b, a)
+
+
+@pytest.mark.parametrize("rho", [Fraction(-4), Fraction(3, 2)])
+def test_wp_equal_without_i2_finds_the_scale_minus_rho(rho):
+    # q4 = rho^2, q6 = -rho^3 and q10 = -rho^5 all hold for the scale -rho
+    b = IgusaClebsch(Fraction(0), Fraction(5), Fraction(-7, 3), Fraction(11, 2))
+    a = IgusaClebsch(Fraction(0), rho**2 * b.i4, -rho**3 * b.i6, -rho**5 * b.i10)
+    assert wp_equal(a, b)
+    assert wp_equal(b, a)
+    if rho == -4:
+        assert wp_scale_equal(a, b, 2)
+
+
+# -- transvectant kernels against their tables ---------------------------------
+
+
+def _by_table(f, g, m, n, r):
+    out = [0] * (m + n - 2 * r + 1)
+    for s, p, q, w in _table(m, n, r):
+        out[s] += w * f[p] * g[q]
+    return out
+
+
+def test_transvectant_kernels_against_their_tables():
+    rng = random.Random(19)
+
+    def ints(k):
+        return [rng.getrandbits(64) - 2**63 for _ in range(k)]
+
+    _kernel.cache_clear()
+    orders = [(m, n, r) for m in range(7) for n in range(7) for r in range(min(m, n) + 1)]
+    for m, n, r in orders:
+        for _ in range(2):
+            f, g = ints(m + 1), ints(n + 1)
+            got = transvectant(f, g, m, n, r)
+            assert got == _by_table(f, g, m, n, r), (m, n, r)
+            assert transvectant(f, g, m, n, r) is not got
+        if m == n:
+            f = ints(m + 1)
+            want = _by_table(f, f, m, n, r)
+            assert transvectant(f, f, m, n, r) == transvectant(f, list(f), m, n, r) == want
+    # one kernel per order triple, and one more per form paired with itself
+    info = _kernel.cache_info()
+    assert info.misses == info.currsize == len(orders) + sum(m == n for m, n, _ in orders)
+
+
+def test_transvectant_rejects_wrong_lengths_and_orders():
+    with pytest.raises(ValueError):
+        transvectant([1, 2, 3], [1, 2, 3, 4, 5], 4, 4, 2)
+    with pytest.raises(ValueError):
+        transvectant([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5], 4, 4, 2)
+    f = [1, 2, 3, 4, 5, 6]
+    with pytest.raises(ValueError):
+        transvectant(f, f, 4, 4, 2)
+    with pytest.raises(ValueError):
+        transvectant(f, f, 5, 4, 2)
+    with pytest.raises(ValueError):
+        transvectant([1, 2, 3], [1, 2, 3], 2, 2, 3)
 
 
 invariant_values = st.one_of(
@@ -202,8 +267,6 @@ nonzero_rho = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(
 
 def _scale(a, rho):
     """The tuple r . a with r^2 = rho: I_k is multiplied by rho^(k/2)."""
-    from prymkit.invariants import IgusaClebsch
-
     return IgusaClebsch(a.i2 * rho, a.i4 * rho**2, a.i6 * rho**3, a.i10 * rho**5)
 
 
@@ -211,8 +274,6 @@ def _scale(a, rho):
 @given(st.tuples(*[invariant_values] * 4), nonzero_rho)
 def test_wp_equal_against_the_definition(vals, rho):
     from dataclasses import replace
-
-    from prymkit.invariants import IgusaClebsch
 
     a = IgusaClebsch(*vals)
     b = _scale(a, rho)
@@ -262,8 +323,6 @@ def test_wp_equal_against_a_brute_force_reference():
     """All 16 zero patterns, for scaled pairs and for pairs with one entry
     perturbed, rho = -1 among the scales."""
     from dataclasses import replace
-
-    from prymkit.invariants import IgusaClebsch
 
     rng = random.Random(53)
     names = ("i2", "i4", "i6", "i10")

@@ -50,6 +50,14 @@ def test_light_entry_points_load_no_suite(argv):
     assert not loaded & SUITE_STACK, sorted(loaded & SUITE_STACK)
 
 
+def test_invariants_loads_only_the_curve_stack():
+    # genus2 imports quadforms only inside delta_abc (Richelot), so neither
+    # quadforms nor the bpoly it builds on is compiled for a curve
+    assert loaded_modules("invariants", "--curve", "[1,0,0,0,0,0,1]") == {
+        "prymkit", *(f"prymkit.{m}" for m in
+                     ("cli", "rat", "jsonio", "upoly", "genus2", "invariants"))}
+
+
 def test_verify_loads_every_module():
     assert loaded_modules("verify", "--suite", "richelot") == ALL_MODULES
 
