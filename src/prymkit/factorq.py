@@ -16,24 +16,11 @@ from __future__ import annotations
 import itertools
 import math
 
-from .upoly import UPoly, _z_mul, _z_trim, gcd
+from .upoly import UPoly, _z_add, _z_primitive, _z_quo, _z_trim, convolve, gcd
 
-# -- dense polynomials over Z and Z/m (ascending int lists) -------------------
-# GF(p) is Z/m with m = p prime; _z_trim and _z_mul are the upoly kernel's.
-
-
-def _z_sub(a, b):
-    n = max(len(a), len(b))
-    return _z_trim(
-        [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def _z_add(a, b):
-    n = max(len(a), len(b))
-    return _z_trim(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
+# -- dense polynomials over Z/m (ascending int lists) ------------------------
+# GF(p) is Z/m with m = p prime.  Products, sums, primitive parts and exact
+# quotients over Z are the upoly kernel's; each result here is reduced mod m.
 
 
 def _z_mod(a, m):
@@ -93,8 +80,8 @@ def _gp_pow_x(e, mod, p):
     base = _zm_divmod([0, 1], mod, p)[1]
     while e:
         if e & 1:
-            result = _zm_divmod(_z_mul(result, base), mod, p)[1]
-        base = _zm_divmod(_z_mul(base, base), mod, p)[1]
+            result = _zm_divmod(convolve(result, base), mod, p)[1]
+        base = _zm_divmod(convolve(base, base), mod, p)[1]
         e >>= 1
     return result
 
@@ -110,7 +97,7 @@ def _berlekamp(f, p):
     cur = [1]
     for _ in range(n):
         rows.append(cur + [0] * (n - len(cur)))
-        cur = _zm_divmod(_z_mul(cur, xp), f, p)[1]
+        cur = _zm_divmod(convolve(cur, xp), f, p)[1]
     # nullspace of (Q - I)^T x = 0, i.e. left kernel of (Q - I)
     m = [[(rows[i][j] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
     basis = _left_nullspace(m, p)
@@ -130,7 +117,7 @@ def _berlekamp(f, p):
             pieces = []
             rem_f = fac
             for s in range(p):
-                g = _gp_gcd(rem_f, _z_mod(_z_sub(vpoly, [s]), p), p)
+                g = _gp_gcd(rem_f, _z_mod(_z_add(vpoly, [s], -1), p), p)
                 if 0 < len(g) - 1 < len(rem_f) - 1:
                     pieces.append(g)
                     rem_f, _ = _zm_divmod(rem_f, g, p)
@@ -188,14 +175,14 @@ def _hensel_step(m, f, g, h, s, t):
     """One quadratic Hensel step: from f = g h (mod m), s g + t h = 1 (mod m)
     to the same congruences mod m^2 (coefficients in symmetric range)."""
     M = m * m
-    e = _sym(_z_sub(f, _z_mul(g, h)), M)
-    q, r = _zm_divmod(_z_mul(s, e), h, M)
-    g1 = _sym(_z_add(_z_add(g, _z_mul(t, e)), _z_mul(q, g)), M)
+    e = _sym(_z_add(f, convolve(g, h), -1), M)
+    q, r = _zm_divmod(convolve(s, e), h, M)
+    g1 = _sym(_z_add(_z_add(g, convolve(t, e)), convolve(q, g)), M)
     h1 = _sym(_z_add(h, r), M)
-    b = _sym(_z_sub(_z_add(_z_mul(s, g1), _z_mul(t, h1)), [1]), M)
-    c, d = _zm_divmod(_z_mul(s, b), h1, M)
-    s1 = _sym(_z_sub(s, d), M)
-    t1 = _sym(_z_sub(_z_sub(t, _z_mul(t, b)), _z_mul(c, g1)), M)
+    b = _sym(_z_add(_z_add(convolve(s, g1), convolve(t, h1)), [1], -1), M)
+    c, d = _zm_divmod(convolve(s, b), h1, M)
+    s1 = _sym(_z_add(s, d, -1), M)
+    t1 = _sym(_z_add(_z_add(t, convolve(t, b), -1), convolve(c, g1), -1), M)
     return g1, h1, s1, t1
 
 
@@ -206,15 +193,11 @@ def _gp_egcd(a, b, p):
     t0, t1 = [], [1]
     while r1:
         q, _ = _zm_divmod(r0, r1, p)
-        r0, r1 = r1, _z_mod(_z_sub(r0, _z_mul(q, r1)), p)
-        s0, s1 = s1, _z_mod(_z_sub(s0, _z_mul(q, s1)), p)
-        t0, t1 = t1, _z_mod(_z_sub(t0, _z_mul(q, t1)), p)
+        r0, r1 = r1, _z_mod(_z_add(r0, convolve(q, r1), -1), p)
+        s0, s1 = s1, _z_mod(_z_add(s0, convolve(q, s1), -1), p)
+        t0, t1 = t1, _z_mod(_z_add(t0, convolve(q, t1), -1), p)
     inv = pow(r0[-1], p - 2, p)
-    return (
-        [x * inv % p for x in r0],
-        [x * inv % p for x in s0],
-        [x * inv % p for x in t0],
-    )
+    return tuple([x * inv % p for x in v] for v in (r0, s0, t0))
 
 
 def _hensel_lift(p, f, f_list, level):
@@ -226,10 +209,10 @@ def _hensel_lift(p, f, f_list, level):
     k = n // 2
     g = [f[-1] % p]
     for fi in f_list[:k]:
-        g = _z_mod(_z_mul(g, fi), p)
+        g = _z_mod(convolve(g, fi), p)
     h = [1]
     for fi in f_list[k:]:
-        h = _z_mod(_z_mul(h, fi), p)
+        h = _z_mod(convolve(h, fi), p)
     _, s, t = _gp_egcd(g, h, p)
     g, h, s, t = _sym(g, p), _sym(h, p), _sym(s, p), _sym(t, p)
     m = p
@@ -282,12 +265,12 @@ def _factor_sqfree_int(f):
             for subset in itertools.combinations(range(len(pool)), k):
                 cand = [rest[-1] % m]
                 for idx in subset:
-                    cand = _sym([c % m for c in _z_mul(cand, pool[idx])], m)
-                cand = _z_primitive(cand)
+                    cand = _sym([c % m for c in convolve(cand, pool[idx])], m)
                 if not cand:
                     continue
-                ok, quo = _z_try_div(rest, cand)
-                if ok:
+                cand = _z_primitive(cand)[1]
+                quo = _z_quo(rest, cand)
+                if quo is not None:
                     factors.append(cand)
                     rest = quo
                     pool = [q for i, q in enumerate(pool) if i not in set(subset)]
@@ -295,46 +278,8 @@ def _factor_sqfree_int(f):
                     break
         k += 1
     if len(rest) - 1 > 0:
-        factors.append(_z_primitive(rest))
+        factors.append(_z_primitive(rest)[1])
     return factors
-
-
-def _z_primitive(a):
-    a = _z_trim(list(a))
-    if not a:
-        return a
-    g = 0
-    for x in a:
-        g = math.gcd(g, abs(x))
-    a = [x // g for x in a]
-    if a[-1] < 0:
-        a = [-x for x in a]
-    return a
-
-
-def _z_try_div(a, b):
-    """Exact division test of integer polys; returns (ok, quotient)."""
-    if (len(a) - 1) < (len(b) - 1):
-        return False, None
-    a = list(a)
-    db = len(b) - 1
-    q = [0] * (len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        if a[-1] % b[-1]:
-            return False, None
-        f = a[-1] // b[-1]
-        k = len(a) - 1 - db
-        q[k] = f
-        for i, y in enumerate(b):
-            a[k + i] -= f * y
-        a.pop()
-    if any(a):
-        return False, None
-    return True, _z_trim(q)
 
 
 def _next_prime(p):

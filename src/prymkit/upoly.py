@@ -123,7 +123,7 @@ class UPoly:
         if isinstance(other, UPoly):
             if not self.n or not other.n:
                 return UPoly()
-            return _from_ints(_z_mul(self.n, other.n), self.d * other.d)
+            return _from_ints(convolve(self.n, other.n), self.d * other.d)
         if isinstance(other, (int, Fraction)):
             if not other or not self.n:
                 return UPoly()
@@ -187,16 +187,16 @@ class UPoly:
     def exact_div(self, other) -> "UPoly":
         """self / other over Z: by Gauss's lemma a primitive integer B
         divides an integer A over Q exactly when it divides it over Z, so
-        the division of the primitive parts never scales."""
+        the exact quotient of the primitive parts decides."""
         other = _coerce(other)
         if not self.n or not other.n:
             return divmod(self, other)[0]
         ka, a = self.primitive_int()
         kb, b = other.primitive_int()
-        q, r = divmod(_raw(tuple(a), 1), _raw(tuple(b), 1))
-        if r:
-            raise ValueError(f"non-exact division, remainder {r * ka}")
-        return q * (ka / kb)
+        q = _z_quo(a, b)
+        if q is None:
+            raise ValueError(f"non-exact division, remainder {self % other!r}")
+        return _raw(tuple(q), 1) * (ka / kb)
 
     # -- calculus and evaluation ----------------------------------------
     def derivative(self) -> "UPoly":
@@ -256,13 +256,10 @@ class UPoly:
     def primitive_int(self):
         """Return (k, [int coefficients]) with self = k * intpoly, the
         integer polynomial primitive with positive leading coefficient."""
-        n = self.n
-        if not n:
+        if not self.n:
             return Fraction(0), [0]
-        g = int_gcd(*n)
-        if n[-1] < 0:
-            g = -g
-        return Fraction(g, self.d), [v // g for v in n]
+        g, a = _z_primitive(self.n)
+        return Fraction(g, self.d), a
 
     # -- serialization ---------------------------------------------------
     def to_json(self):
@@ -329,21 +326,14 @@ def _from_ints(n: list, d: int = 1) -> UPoly:
 
 def _combine(a: UPoly, b: UPoly, sign: int) -> UPoly:
     """a + sign * b over the lcm of the two denominators."""
-    an, bn, d = a.n, b.n, a.d
+    an, d, c = a.n, a.d, sign
     if d != b.d:
         g = int_gcd(d, b.d)
-        fa, fb = b.d // g, d // g
+        fa = b.d // g
+        c *= d // g
         d *= fa
         an = [v * fa for v in an]
-        bn = [v * fb for v in bn]
-    if sign < 0:
-        bn = [-v for v in bn]
-    if len(an) < len(bn):
-        an, bn = bn, an
-    out = list(an)
-    for i, v in enumerate(bn):
-        out[i] += v
-    return _from_ints(out, d)
+    return _from_ints(_z_add(an, b.n, c), d)
 
 
 def _coerce(v) -> UPoly:
@@ -363,7 +353,11 @@ def _z_trim(a):
     return a
 
 
-def _z_mul(a, b):
+def convolve(a, b):
+    """Product of two polynomials given as ascending coefficient lists over
+    any ring whose elements can be added to the int 0: ints, Fractions,
+    UPolys.  The result is not trimmed, so a list over Q[t] keeps a top
+    coefficient that vanishes."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -371,7 +365,44 @@ def _z_mul(a, b):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return _z_trim(out)
+    return out
+
+
+def _z_add(a, b, c=1):
+    """The int list a + c b, untrimmed."""
+    out = list(a)
+    out += [0] * (len(b) - len(out))
+    for i, v in enumerate(b):
+        out[i] += c * v
+    return out
+
+
+def _z_primitive(a):
+    """(g, a / g) for a nonzero int list a, with g its content, signed so
+    that a / g has a positive leading coefficient."""
+    g = int_gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return g, [v // g for v in a]
+
+
+def _z_quo(a, b):
+    """The quotient a / b of int lists when b divides a over Z, else None;
+    b must be trimmed and nonzero.  It gives up at the first top coefficient
+    that lc(b) does not divide."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        top = a.pop()
+        if top:
+            f, r = divmod(top, lb)
+            if r:
+                return None
+            q[k] = f
+            for i in range(db):
+                a[k + i] -= f * b[i]
+    return None if any(a) else _z_trim(q)
 
 
 def _int_prem(a, b):
@@ -466,8 +497,7 @@ def gcd(p: UPoly, q: UPoly) -> UPoly:
     while b:
         a, b = b, _int_prem(a, b)
         if b:
-            g = int_gcd(*b)
-            b = [v // g for v in b]
+            b = _z_primitive(b)[1]
     return _raw(tuple(a), 1).monic()
 
 
@@ -532,30 +562,14 @@ def inv_mod(p: UPoly, m: UPoly) -> UPoly:
 def valuation(p: UPoly, place: UPoly) -> int:
     """Multiplicity of the irreducible place in p (inf-like large for p = 0).
     The division runs on the primitive integer parts, over Z (Gauss's
-    lemma), so an exact step never scales."""
+    lemma), by exact quotients."""
     if not p:
         return 1 << 30
-    p, place = (_raw(tuple(f.primitive_int()[1]), 1) for f in (p, place))
+    a, b = p.primitive_int()[1], place.primitive_int()[1]
     v = 0
-    while True:
-        q, r = divmod(p, place)
-        if r:
-            return v
+    while (a := _z_quo(a, b)) is not None:
         v += 1
-        p = q
-
-
-def convolve(a, b):
-    """Product of two polynomials given as ascending coefficient lists over
-    any ring (rationals, UPoly, ...)."""
-    if not a or not b:
-        return []
-    out = [None] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            t = x * y
-            out[i + j] = t if out[i + j] is None else out[i + j] + t
-    return out
+    return v
 
 
 def resultant_upoly_coeffs(f_coeffs, g_coeffs, formal: tuple[int, int] | None = None) -> UPoly:
@@ -610,7 +624,7 @@ def _int_interpolate(values):
     nfact = factorial(n)
     acc = []
     for k in range(n, -1, -1):
-        acc = _z_mul(acc, [-k, 1]) or [0]
+        acc = convolve(acc, [-k, 1]) or [0]
         acc[0] += diffs[k] * (nfact // factorial(k))
     return acc, nfact
 

@@ -67,6 +67,16 @@ def test_invalid_moduli_exit_two(capsys):
     assert "distinct" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("pencil", "classify", "--t", "1/0"),
+    ("verify", "--lambda", "1/0,2,8"),
+    ("invariants", "--curve", '["1/0",0,0,0,0,1]'),
+], ids=["pencil_t", "verify_lambda", "invariants_curve"])
+def test_zero_denominator_names_the_input_exit_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: zero denominator in '1/0'\n")
+
+
 def test_mismatched_square_root_exit_two(capsys):
     code, _, err = run_cli(capsys, "verify", "--lambda", "9,2,8",
                            "--kappa15", "5", "--kappa23", "4")

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from prymkit.upoly import (
     UPoly,
+    _z_quo,
     bracket,
+    convolve,
     discriminant,
     gcd,
     _int_interpolate,
@@ -355,8 +357,8 @@ def test_mpoly_calculus_matches_sympy():
 
 # -- division, gcd and squarefree places against sympy -------------------------------
 
-# divisors that are non-monic, have a negative leading coefficient, or have
-# rational coefficients
+# divisors that are non-monic, have a negative leading coefficient, have a
+# content above 1, or have rational coefficients
 DIVISORS = [
     UPoly((-1, 2)),                          # 2t - 1
     UPoly((Fraction(1, 2), 0, -3)),          # -3t^2 + 1/2
@@ -364,6 +366,18 @@ DIVISORS = [
     UPoly((1, 0, 1)),                        # t^2 + 1
     UPoly((Fraction(2, 3), -5)),             # -5t + 2/3
     UPoly((Fraction(-7, 4), 1, 0, Fraction(3, 2))),
+    UPoly((6, -4, 0, -10)),                  # -10t^3 - 4t + 6, content 2
+]
+
+# int-list pairs (a, b) for the exact quotient over Z
+Z_QUOTIENTS = [
+    (convolve([2, 0, -1], [-3, 5, 0, 7]), [2, 0, -1]),  # divides
+    (convolve([0, 0, 3, 0, 0, -6], [4, 0, -2]), [4, 0, -2]),  # divides, interior zeros
+    ([0, 0, 0, 5, 0, 0, 3], [1, 0, 0, 1]),  # interior zeros, does not divide
+    ([1, 0, 0, 3], [1, 2]),                 # lc(b) does not divide the top
+    ([1, 0, 2], [0, 1]),                    # every top divides, remainder 1
+    ([5, 3], [1, 0, 1]),                    # deg a < deg b
+    ([], [3, -2]),                          # a = 0
 ]
 
 
@@ -393,6 +407,11 @@ def test_divmod_exact_div_and_inv_mod_match_sympy():
         if b.degree >= 1 and sympy.gcd(_sym(a, xs), _sym(b, xs)) == 1:
             want = sympy.invert(_sym(a, xs), _sym(b, xs), xs)
             assert inv_mod(a, b) == _from_sym(sympy.expand(want), xs), (a, b)
+    for a, b in Z_QUOTIENTS:
+        # division in the ring ZZ stops where lc(b) does not divide
+        q, r = sympy.div(_sym(UPoly(a), xs), _sym(UPoly(b), xs), xs, domain="ZZ", auto=False)
+        want = None if r != 0 else list(_from_sym(q, xs).n)
+        assert _z_quo(a, b) == want, (a, b)
 
 
 def test_valuation_matches_sympy():
